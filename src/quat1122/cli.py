@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import euclid, repcount
-from .core import parse
+from .core import OrderElement, parse
 from .dyadic import primary_associate
 from .factor import full_factor, primary_primes_of_norm
 from .modm import reduce_mod_m, solve_rs, tau
@@ -52,7 +52,7 @@ def _run_count(args) -> int:
         decomposition = {"two_exponent": result.decomposition[0],
                          "odd_part": result.decomposition[1]}
     else:
-        repcount._check_restricted_n(n, args.restriction)
+        repcount.check_restricted_n(n, args.restriction)
         m = n // (8 if args.restriction == "ii" else 4)
         formula = repcount.complementary_count_formula(m, args.restriction)
         decomposition = {"odd_part": m}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from typing import Literal
 
-from .core import I, ONE, V3, V4, ZERO, OrderElement, units
+from .core import I, ONE, V3, V4, ZERO, OrderElement
 
 ONE_MINUS_I = OrderElement(1, -1, 0, 0)
 ONE_PLUS_2V3 = OrderElement(1, 0, 2, 0)
@@ -134,45 +134,47 @@ def primary_associate(
 ) -> tuple[OrderElement, OrderElement]:
     """The unique unit u and primary c with c = b*u ("right") or c = u*b ("left").
 
-    Scans all 24 units, which doubles as a runtime check of uniqueness.
+    A primary c is 1 mod 2, and b*conj(b) = conj(b)*b = norm(b) is odd, so
+    on either side u is one of +/- (conj(b) mod 2); exactly one sign makes
+    c primary.  Both facts are checked at runtime.
 
     Raises:
         ValueError: b has even norm (only odd elements have primary associates).
-        ArithmeticError: zero or several units qualify (impossible).
+        ArithmeticError: the congruence or the uniqueness fails (impossible).
     """
     if not is_odd(b):
         raise ValueError(f"{b} has even norm; no primary associate exists")
-    matches = []
-    for u in units():
-        c = b * u if side == "right" else u * b
-        if is_primary(c):
-            matches.append((u, c))
-    if len(matches) != 1:
-        raise ArithmeticError(
-            f"{len(matches)} primary associates found for {b} ({side}); expected exactly 1"
-        )
-    return matches[0]
+    u = residue_mod_2(b.conjugate())
+    c = b * u if side == "right" else u * b
+    if _halve(c - ONE) is None:
+        raise ArithmeticError(f"{b} times {u} ({side}) is not 1 mod 2")
+    primary = is_primary(c)
+    if primary == is_primary(-c):
+        raise ArithmeticError(f"primary associate of {b} ({side}) is not unique up to sign")
+    return (u, c) if primary else (-u, -c)
 
 
 def unit_congruences_mod2(b: OrderElement) -> tuple[OrderElement, OrderElement]:
     """Units (u, u1) with b*u = 1 (mod 2) and u1*b = 1 (mod 2).
 
-    The congruence determines the unit up to sign; of the two solutions the
-    one with smaller norm(b*u - 1) is returned (coordinate order on ties).
+    Both are +/- (conj(b) mod 2), since b*conj(b) = conj(b)*b = norm(b) is
+    odd.  Of the two signs the one with smaller norm(b*u - 1) is returned
+    (coordinate order on ties).
 
     Raises:
         ValueError: b has even norm.
     """
     if not is_odd(b):
         raise ValueError(f"{b} has even norm; not congruent to a unit mod 2")
+    u = residue_mod_2(b.conjugate())
 
-    def pick(prod):
-        hits = [u for u in units() if _halve(prod(u) - ONE) is not None]
-        if not hits:
+    def pick(c):
+        # c is the product with u; the product with -u is -c.
+        if _halve(c - ONE) is None:
             raise ArithmeticError(f"no unit congruence mod 2 for {b}")
-        return min(hits, key=lambda u: ((prod(u) - ONE).norm(), u.coords))
+        return min((u, c), (-u, -c), key=lambda uc: ((uc[1] - ONE).norm(), uc[0].coords))[0]
 
-    return pick(lambda u: b * u), pick(lambda u: u * b)
+    return pick(b * u), pick(u * b)
 
 
 def residue_mod_2_1pi(e: OrderElement) -> OrderElement | None:

@@ -7,9 +7,10 @@ parity restrictions on (x, y, z, w).
 
 Everything here is double-entry: each closed formula is paired with a
 brute-force oracle that enumerates integer 4-tuples directly, sharing no
-code with the formula path.  ``rep_count_oracle`` counts a single n;
-``rep_counts_upto`` tabulates every n <= N in one pass by convolving the
-(x, y) and (z, w) value counts.
+code with the formula path.  Both oracles share one core, ``_square_sums``,
+which counts the signed pairs behind each value of x^2 + y^2 or
+2z^2 + 2w^2 under one parity pattern: ``rep_count_oracle`` pairs the two
+maps at a single n, ``rep_counts_upto`` convolves them for every n <= N.
 """
 
 from __future__ import annotations
@@ -25,13 +26,15 @@ from .intarith import factorize, sigma
 DEFAULT_ORACLE_BOUND = 10**6
 
 #: Parity patterns (x, y, z, w) per restriction; None = unrestricted,
-#: 0 = even, 1 = odd.  Cases "iii-zodd" / "iii-wodd" split case "iii".
+#: 0 = even, 1 = odd.  A tuple counts if it matches any pattern; the two
+#: of case "iii" are also available alone as "iii-zodd" / "iii-wodd".
 RESTRICTIONS = {
-    "none": (None, None, None, None),
-    "i": (0, 0, 1, 1),
-    "ii": (0, 0, 1, 1),
-    "iii-zodd": (1, 1, 1, 0),
-    "iii-wodd": (1, 1, 0, 1),
+    "none": ((None, None, None, None),),
+    "i": ((0, 0, 1, 1),),
+    "ii": ((0, 0, 1, 1),),
+    "iii": ((1, 1, 1, 0), (1, 1, 0, 1)),
+    "iii-zodd": ((1, 1, 1, 0),),
+    "iii-wodd": ((1, 1, 0, 1),),
 }
 
 
@@ -50,7 +53,8 @@ def _split_two_part(n: int) -> tuple[int, int]:
     return r, n
 
 
-def _check_restricted_n(n: int, restriction: str) -> None:
+def check_restricted_n(n: int, restriction: str) -> None:
+    """Raise ValueError unless n has the shape the parity restriction needs."""
     if restriction == "none":
         return
     if restriction in ("i", "iii", "iii-zodd", "iii-wodd"):
@@ -95,12 +99,19 @@ def complementary_count_formula(m: int, case: str) -> int:
     raise ValueError(f"unknown case {case!r}")
 
 
-def _allowed_values(limit: int, parity: int | None):
-    """Nonnegative v <= limit with the given parity, as (v, sign multiplicity)."""
-    start = 0 if parity in (None, 0) else 1
-    step = 1 if parity is None else 2
-    for v in range(start, limit + 1, step):
-        yield v, (1 if v == 0 else 2)
+def _square_sums(limit: int, pu: int | None, pv: int | None, scale: int) -> dict[int, int]:
+    """Map t -> number of signed (u, v) with scale*(u^2 + v^2) = t <= limit.
+
+    pu, pv are the parities of u and v: None = any, 0 = even, 1 = odd.
+    """
+    sums: dict[int, int] = {}
+    for u in range(pu or 0, isqrt(limit // scale) + 1, 1 if pu is None else 2):
+        uu = scale * u * u
+        mu = 1 if u == 0 else 2
+        for v in range(pv or 0, isqrt((limit - uu) // scale) + 1, 1 if pv is None else 2):
+            t = uu + scale * v * v
+            sums[t] = sums.get(t, 0) + mu * (1 if v == 0 else 2)
+    return sums
 
 
 def rep_count_oracle(n: int, restriction: str = "none",
@@ -116,32 +127,12 @@ def rep_count_oracle(n: int, restriction: str = "none",
         raise ValueError(f"oracle is defined for n >= 1, got {n}")
     if n > bound:
         raise ValueError(f"n = {n} exceeds the oracle bound {bound}")
-    _check_restricted_n(n, restriction)
-    if restriction == "iii":
-        return (rep_count_oracle(n, "iii-zodd", bound)
-                + rep_count_oracle(n, "iii-wodd", bound))
-    px, py, pz, pw = RESTRICTIONS[restriction]
+    check_restricted_n(n, restriction)
     total = 0
-    for x, mx in _allowed_values(isqrt(n), px):
-        rem_x = n - x * x
-        if rem_x < 0:
-            break
-        for y, my in _allowed_values(isqrt(rem_x), py):
-            rem_xy = rem_x - y * y
-            if rem_xy < 0:
-                break
-            for z, mz in _allowed_values(isqrt(rem_xy // 2), pz):
-                rem = rem_xy - 2 * z * z
-                if rem < 0:
-                    break
-                if rem % 2:
-                    continue
-                w = isqrt(rem // 2)
-                if 2 * w * w != rem:
-                    continue
-                if pw is not None and w % 2 != pw:
-                    continue
-                total += mx * my * mz * (1 if w == 0 else 2)
+    for px, py, pz, pw in RESTRICTIONS[restriction]:
+        zw = _square_sums(n, pz, pw, 2)
+        for t, c in _square_sums(n, px, py, 1).items():
+            total += c * zw.get(n - t, 0)
     return total
 
 
@@ -155,40 +146,17 @@ def rep_counts_upto(limit: int, restriction: str = "none") -> list[int]:
     """
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
-    if restriction != "iii" and restriction not in RESTRICTIONS:
+    if restriction not in RESTRICTIONS:
         raise ValueError(f"unknown restriction {restriction!r}")
-    if restriction == "iii":
-        za = rep_counts_upto(limit, "iii-zodd")
-        zb = rep_counts_upto(limit, "iii-wodd")
-        return [a + b for a, b in zip(za, zb)]
-    px, py, pz, pw = RESTRICTIONS[restriction]
-
-    xy: dict[int, int] = {}
-    for x, mx in _allowed_values(isqrt(limit), px):
-        xx = x * x
-        for y, my in _allowed_values(isqrt(limit - xx), py):
-            t = xx + y * y
-            if t > limit:
-                break
-            xy[t] = xy.get(t, 0) + mx * my
-
-    zw: dict[int, int] = {}
-    for z, mz in _allowed_values(isqrt(limit // 2), pz):
-        zz = 2 * z * z
-        for w, mw in _allowed_values(isqrt((limit - zz) // 2), pw):
-            t = zz + 2 * w * w
-            if t > limit:
-                break
-            zw[t] = zw.get(t, 0) + mz * mw
-
     counts = [0] * (limit + 1)
-    zw_items = sorted(zw.items())
-    for t1, c1 in xy.items():
-        room = limit - t1
-        for t2, c2 in zw_items:
-            if t2 > room:
-                break
-            counts[t1 + t2] += c1 * c2
+    for px, py, pz, pw in RESTRICTIONS[restriction]:
+        zw_items = sorted(_square_sums(limit, pz, pw, 2).items())
+        for t1, c1 in _square_sums(limit, px, py, 1).items():
+            room = limit - t1
+            for t2, c2 in zw_items:
+                if t2 > room:
+                    break
+                counts[t1 + t2] += c1 * c2
     return counts
 
 
@@ -199,49 +167,37 @@ def enumerate_norm_solutions(n: int, integral: bool = False,
     """All elements of norm n, sorted by coordinates.
 
     With integral=True only the sublattice spanned by {1, i, sqrt2 j,
-    sqrt2 k} is searched; its norm-n elements correspond one-to-one with
-    the representations of n by the quadratic form.
+    sqrt2 k} (all half coordinates even) is kept; its norm-n elements
+    correspond one-to-one with the representations of n by the quadratic
+    form.
     """
     if n < 1:
         raise ValueError(f"norm must be positive, got {n}")
     if n > bound:
         raise ValueError(f"n = {n} exceeds the enumeration bound {bound}")
     found = []
-    if integral:
-        for x in range(-isqrt(n), isqrt(n) + 1):
-            rem_x = n - x * x
-            for y in range(-isqrt(rem_x), isqrt(rem_x) + 1):
-                rem_xy = rem_x - y * y
-                for z in range(-isqrt(rem_xy // 2), isqrt(rem_xy // 2) + 1):
-                    rem = rem_xy - 2 * z * z
-                    if rem % 2:
-                        continue
-                    w = isqrt(rem // 2)
-                    if 2 * w * w != rem:
-                        continue
-                    for ww in ({w, -w}):
-                        found.append(OrderElement.from_standard(x, y, z, ww))
-    else:
-        # Half coordinates: A^2 + B^2 + 2C^2 + 2D^2 = 4n with A = B,
-        # A = C + D (mod 2).
-        target = 4 * n
-        for A in range(-isqrt(target), isqrt(target) + 1):
-            rem_a = target - A * A
-            for B in range(-isqrt(rem_a), isqrt(rem_a) + 1):
-                if (A - B) % 2:
+    # Half coordinates: A^2 + B^2 + 2C^2 + 2D^2 = 4n with A = B,
+    # A = C + D (mod 2).
+    target = 4 * n
+    for A in range(-isqrt(target), isqrt(target) + 1):
+        rem_a = target - A * A
+        for B in range(-isqrt(rem_a), isqrt(rem_a) + 1):
+            if (A - B) % 2:
+                continue
+            rem_ab = rem_a - B * B
+            for C in range(-isqrt(rem_ab // 2), isqrt(rem_ab // 2) + 1):
+                rem = rem_ab - 2 * C * C
+                if rem % 2:
                     continue
-                rem_ab = rem_a - B * B
-                for C in range(-isqrt(rem_ab // 2), isqrt(rem_ab // 2) + 1):
-                    rem = rem_ab - 2 * C * C
-                    if rem % 2:
+                D = isqrt(rem // 2)
+                if 2 * D * D != rem:
+                    continue
+                for DD in ({D, -D}):
+                    if (A - C - DD) % 2:
                         continue
-                    D = isqrt(rem // 2)
-                    if 2 * D * D != rem:
+                    if integral and (A | B | C | DD) & 1:
                         continue
-                    for DD in ({D, -D}):
-                        if (A - C - DD) % 2:
-                            continue
-                        found.append(OrderElement.from_half(A, B, C, DD))
+                    found.append(OrderElement.from_half(A, B, C, DD))
     found.sort(key=lambda e: e.coords)
     return tuple(found)
 

@@ -270,6 +270,22 @@ def test_exactly_one_associate_is_primary():
         assert sum(1 for u in units() if is_primary(u * b)) == 1
 
 
+def scan_primary_associate(b, side):
+    # reference: try all 24 units
+    hits = [(u, b * u if side == "right" else u * b) for u in units()]
+    hits = [(u, c) for u, c in hits if is_primary(c)]
+    assert len(hits) == 1
+    return hits[0]
+
+
+def test_primary_associate_matches_unit_scan_large():
+    rng = random.Random(32)
+    for _ in range(150):
+        b = rand_odd(rng, -10**30, 10**30)
+        for side in ("left", "right"):
+            assert primary_associate(b, side) == scan_primary_associate(b, side)
+
+
 def test_conjugate_of_primary():
     # class 1 conjugates stay primary; class 1+2v3 needs the sign flip
     primaries = [e for e in box(3) if is_primary(e)]
@@ -300,3 +316,16 @@ def test_unit_congruences_random():
         assert all(g % 2 == 0 for g in (u1 * b - ONE).coords)
     with pytest.raises(ValueError):
         unit_congruences_mod2(ONE_PLUS_I)
+
+
+def test_unit_congruences_match_unit_scan_large():
+    def scan(prod):
+        # reference: every unit solving the congruence, least norm(prod - 1) first
+        hits = [u for u in units() if all(g % 2 == 0 for g in (prod(u) - ONE).coords)]
+        assert len(hits) == 2
+        return min(hits, key=lambda u: ((prod(u) - ONE).norm(), u.coords))
+
+    rng = random.Random(33)
+    for _ in range(100):
+        b = rand_odd(rng, -10**30, 10**30)
+        assert unit_congruences_mod2(b) == (scan(lambda u: b * u), scan(lambda u: u * b))

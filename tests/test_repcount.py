@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 from quat1122 import (
@@ -14,6 +16,42 @@ from quat1122 import (
     units,
 )
 from quat1122.core import I, ONE, ONE_PLUS_I
+
+#: Which signed (x, y, z, w) each restriction counts, stated directly.
+ADMITS = {
+    "none": lambda x, y, z, w: True,
+    "i": lambda x, y, z, w: x % 2 == y % 2 == 0 and z % 2 == w % 2 == 1,
+    "ii": lambda x, y, z, w: x % 2 == y % 2 == 0 and z % 2 == w % 2 == 1,
+    "iii": lambda x, y, z, w: x % 2 == y % 2 == 1 and z % 2 != w % 2,
+    "iii-zodd": lambda x, y, z, w: x % 2 == y % 2 == 1 and z % 2 == 1 and w % 2 == 0,
+    "iii-wodd": lambda x, y, z, w: x % 2 == y % 2 == 1 and z % 2 == 0 and w % 2 == 1,
+}
+
+
+def reference_oracle(n, restriction="none"):
+    """Signed solutions of x^2 + y^2 + 2z^2 + 2w^2 = n by a direct x/y/z loop."""
+    admits = ADMITS[restriction]
+    total = 0
+    for x in range(isqrt(n) + 1):
+        rem_x = n - x * x
+        for y in range(isqrt(rem_x) + 1):
+            rem_xy = rem_x - y * y
+            for z in range(isqrt(rem_xy // 2) + 1):
+                rem = rem_xy - 2 * z * z
+                if rem % 2:
+                    continue
+                w = isqrt(rem // 2)
+                if 2 * w * w == rem and admits(x, y, z, w):
+                    total += (2 - (x == 0)) * (2 - (y == 0)) * (2 - (z == 0)) * (2 - (w == 0))
+    return total
+
+
+def admitted_restrictions(n):
+    if n % 8 == 4:
+        return ("none", "i", "iii", "iii-zodd", "iii-wodd")
+    if n % 16 == 8:
+        return ("none", "ii")
+    return ("none",)
 
 
 def test_sigma_values():
@@ -74,6 +112,23 @@ def test_oracle_bound():
         rep_count_oracle(100, bound=50)
     with pytest.raises(ValueError):
         enumerate_norm_solutions(100, bound=50)
+
+
+def test_oracle_matches_reference_small():
+    for n in range(1, 401):
+        admitted = admitted_restrictions(n)
+        for restriction in ADMITS:
+            if restriction in admitted:
+                assert rep_count_oracle(n, restriction) == reference_oracle(n, restriction)
+            else:
+                with pytest.raises(ValueError):
+                    rep_count_oracle(n, restriction)
+
+
+@pytest.mark.parametrize("n", [10007, 13122, 15000, 16384, 19996])
+def test_oracle_matches_reference_large(n):
+    for restriction in admitted_restrictions(n):
+        assert rep_count_oracle(n, restriction) == reference_oracle(n, restriction)
 
 
 def test_batch_matches_single_oracle():
