@@ -12,9 +12,9 @@ from quat1122 import (
 # r(n) depends only on the odd part m of n: 4, 8 or 24 times sigma(m).
 print(" n    2^r * m    formula  oracle")
 for n in (1, 2, 3, 4, 6, 12, 25, 50, 99, 1000):
-    res = rep_count_formula(n, with_oracle=True)
+    res = rep_count_formula(n)
     r, m = res.decomposition
-    print(f"{n:4}  2^{r} * {m:3}   {res.formula_count:7}  {res.oracle_count:6}")
+    print(f"{n:4}  2^{r} * {m:3}   {res.formula_count:7}  {rep_count_oracle(n):6}")
 print()
 
 # Restricting parities isolates the complementary units: representations of

@@ -14,12 +14,8 @@ The package is layered bottom-up:
 from .core import (
     HalfCoords,
     OrderElement,
-    format_element,
     format_half,
-    from_half,
-    is_unit,
     parse,
-    to_half,
     unit_inverse,
     units,
 )
@@ -103,16 +99,13 @@ __all__ = [
     "divide_by_1pi",
     "enumerate_norm_solutions",
     "factor_primitive",
-    "format_element",
     "format_half",
-    "from_half",
     "full_factor",
     "gcd",
     "is_odd",
     "is_primary",
     "is_prime_quat",
     "is_primitive_to_m",
-    "is_unit",
     "norm2_primes",
     "p_conjugate",
     "parse",
@@ -132,7 +125,6 @@ __all__ = [
     "solve_rs",
     "tau",
     "tau_inv",
-    "to_half",
     "unit_congruences_mod2",
     "unit_inverse",
     "units",

@@ -145,12 +145,7 @@ class OrderElement:
             return NotImplemented
         # Multiply in doubled standard coordinates; the division by 2 must be
         # exact (ring closure) and is asserted rather than assumed.
-        A, B, C, D = self.half_coords
-        E, F, G, H = other.half_coords
-        AA = A * E - B * F - 2 * C * G - 2 * D * H
-        BB = A * F + B * E + 2 * C * H - 2 * D * G
-        CC = A * G - B * H + C * E + D * F
-        DD = A * H + B * G - C * F + D * E
+        AA, BB, CC, DD = standard_product(self.half_coords, other.half_coords)
         if (AA | BB | CC | DD) & 1:
             raise ArithmeticError(f"non-integral product of {self} and {other}")
         return OrderElement.from_half(AA // 2, BB // 2, CC // 2, DD // 2)
@@ -202,6 +197,18 @@ class OrderElement:
         return f"[{self.g1},{self.g2},{self.g3},{self.g4}]"
 
 
+def standard_product(u, v) -> tuple[int, int, int, int]:
+    """The product of u1 + u2*i + u3*sqrt2 j + u4*sqrt2 k and v, as a 4-tuple."""
+    u1, u2, u3, u4 = u
+    v1, v2, v3, v4 = v
+    return (
+        u1 * v1 - u2 * v2 - 2 * u3 * v3 - 2 * u4 * v4,
+        u1 * v2 + u2 * v1 + 2 * u3 * v4 - 2 * u4 * v3,
+        u1 * v3 - u2 * v4 + u3 * v1 + u4 * v2,
+        u1 * v4 + u2 * v3 - u3 * v2 + u4 * v1,
+    )
+
+
 def _coerce(value: OpOther) -> OrderElement:
     if isinstance(value, OrderElement):
         return value
@@ -220,19 +227,11 @@ SQRT2_J = OrderElement(-1, -1, 2, 0)
 SQRT2_K = OrderElement(-1, -1, 0, 2)
 
 
-def to_half(e: OrderElement) -> HalfCoords:
-    return e.half_coords
-
-
-def from_half(h: HalfCoords | tuple[int, int, int, int]) -> OrderElement:
-    return OrderElement.from_half(*h)
-
-
 # The 24 units: +/- {v1, v2, v3, v4, v3-v1, v3-v2, v4-v3, v4-v1, v4-v2,
 # v3-v2-v1, v4-v2-v1, v4+v3-v2-v1}, i.e. in the standard basis
 # +/- {1, i, (1 +/- i +/- sqrt2 j)/2, (1 +/- i +/- sqrt2 k)/2,
 #      (sqrt2 j +/- sqrt2 k)/2 * ...}.
-_POSITIVE_UNITS = (
+UNITS_MOD_SIGN = (
     (1, 0, 0, 0),
     (0, 1, 0, 0),
     (0, 0, 1, 0),
@@ -252,7 +251,7 @@ _POSITIVE_UNITS = (
 def units() -> tuple[OrderElement, ...]:
     """The 24 norm-1 elements, sorted by basis coordinates."""
     table = []
-    for g in _POSITIVE_UNITS:
+    for g in UNITS_MOD_SIGN:
         u = OrderElement(*g)
         table.append(u)
         table.append(-u)
@@ -260,10 +259,6 @@ def units() -> tuple[OrderElement, ...]:
     out = tuple(table)
     assert len(set(out)) == 24 and all(u.is_unit() for u in out)
     return out
-
-
-def is_unit(e: OrderElement) -> bool:
-    return e.is_unit()
 
 
 def unit_inverse(u: OrderElement) -> OrderElement:
@@ -299,7 +294,7 @@ def parse(text: str) -> OrderElement:
         except ValueError:
             raise ValueError(f"non-integer coordinate in {text!r}") from None
     if s.startswith("(") and s.endswith(")/2"):
-        return from_half(_parse_half_body(s[1:-3], text))
+        return OrderElement.from_half(*_parse_half_body(s[1:-3], text))
     raise ValueError(f"unrecognized quaternion syntax: {text!r}")
 
 
@@ -323,11 +318,6 @@ def _parse_half_body(body: str, original: str) -> tuple[int, int, int, int]:
     if not seen_term:
         raise ValueError(f"empty half form: {original!r}")
     return (acc[None], acc["i"], acc["r2j"], acc["r2k"])
-
-
-def format_element(e: OrderElement) -> str:
-    """Canonical text form; parse(format_element(e)) == e."""
-    return str(e)
 
 
 def format_half(e: OrderElement) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from typing import Literal
 
-from .core import I, ONE, V3, V4, ZERO, OrderElement
+from .core import I, ONE, UNITS_MOD_SIGN, V3, V4, ZERO, OrderElement
 
 ONE_MINUS_I = OrderElement(1, -1, 0, 0)
 ONE_PLUS_2V3 = OrderElement(1, 0, 2, 0)
@@ -25,10 +25,7 @@ COSET_REPS_1PI = (ZERO, ONE, V3, ONE + V3)
 
 #: Coset representatives modulo 2: the twelve units taken with positive sign
 #: plus the four non-units {0, 1+i, 1+v3+v4, i+v3+v4}.
-COSET_REPS_MOD2 = (
-    ONE, I, V3, V4,
-    V3 - ONE, V3 - I, V4 - V3, V4 - ONE, V4 - I,
-    V3 - I - ONE, V4 - I - ONE, V4 + V3 - I - ONE,
+COSET_REPS_MOD2 = tuple(OrderElement(*g) for g in UNITS_MOD_SIGN) + (
     ZERO, ONE + I, ONE + V3 + V4, I + V3 + V4,
 )
 

@@ -17,8 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd as int_gcd
 
-from .core import OrderElement
+from .core import OrderElement, standard_product
 from .intarith import factorize, is_prime
+
+SOLVE_RS_BOUND = 10**7  # solve_rs keeps a table of m bytes
 
 
 def _check_odd_modulus(m: int) -> None:
@@ -77,15 +79,7 @@ class ResidueElement:
 
     def __mul__(self, other: "ResidueElement") -> "ResidueElement":
         self._same_modulus(other)
-        u1, u2, u3, u4 = self.coords
-        v1, v2, v3, v4 = other.coords
-        return ResidueElement.make(
-            self.m,
-            u1 * v1 - u2 * v2 - 2 * u3 * v3 - 2 * u4 * v4,
-            u1 * v2 + u2 * v1 + 2 * u3 * v4 - 2 * u4 * v3,
-            u1 * v3 - u2 * v4 + u3 * v1 + u4 * v2,
-            u1 * v4 + u2 * v3 - u3 * v2 + u4 * v1,
-        )
+        return ResidueElement.make(self.m, *standard_product(self.coords, other.coords))
 
     def scale(self, k: int) -> "ResidueElement":
         return ResidueElement.make(
@@ -151,15 +145,20 @@ class RSParams:
 def solve_rs(m: int) -> RSParams:
     """The lexicographically smallest (r, s) in [0, m)^2 solving the congruence.
 
-    A solution always exists for odd m; exhaustive search cannot fail.
+    r is the first value with -(2^-1 + r^2) a square mod m, s that square's
+    smallest root; one exists for every odd m.  m > SOLVE_RS_BOUND is refused.
     """
     _check_odd_modulus(m)
+    if m > SOLVE_RS_BOUND:
+        raise ValueError(f"modulus {m} exceeds the solve_rs bound {SOLVE_RS_BOUND}")
     inv2 = pow(2, -1, m)
+    is_square = bytearray(m)
+    for s in range(m // 2 + 1):  # s and m - s have the same square
+        is_square[s * s % m] = 1
     for r in range(m):
-        rr = (inv2 + r * r) % m
-        for s in range(m):
-            if (rr + s * s) % m == 0:
-                return RSParams(m, r, s)
+        target = -(inv2 + r * r) % m
+        if is_square[target]:
+            return RSParams(m, r, next(s for s in range(m) if s * s % m == target))
     raise ArithmeticError(f"no (r, s) found for m = {m}; this cannot happen")
 
 

@@ -23,7 +23,8 @@ from .core import OrderElement
 from .dyadic import is_primary
 from .intarith import factorize, sigma
 
-DEFAULT_ORACLE_BOUND = 10**6
+ORACLE_BOUND = 10**6
+ENUMERATION_BOUND = 2 * 10**4  # the lattice search costs about n^1.5
 
 #: Parity patterns (x, y, z, w) per restriction; None = unrestricted,
 #: 0 = even, 1 = odd.  A tuple counts if it matches any pattern; the two
@@ -41,7 +42,6 @@ RESTRICTIONS = {
 @dataclass(frozen=True, slots=True)
 class CountResult:
     formula_count: int
-    oracle_count: int | None
     decomposition: tuple[int, int]  # n = 2^r * m
 
 
@@ -67,9 +67,8 @@ def check_restricted_n(n: int, restriction: str) -> None:
         raise ValueError(f"unknown restriction {restriction!r}")
 
 
-def rep_count_formula(n: int, with_oracle: bool = False,
-                      bound: int = DEFAULT_ORACLE_BOUND) -> CountResult:
-    """Closed-form representation count of n, optionally oracle-checked.
+def rep_count_formula(n: int) -> CountResult:
+    """Closed-form representation count of n; rep_count_oracle checks it.
 
     Raises:
         ValueError: n < 1 (the form represents 0 only trivially).
@@ -78,9 +77,7 @@ def rep_count_formula(n: int, with_oracle: bool = False,
         raise ValueError(f"representation count is defined for n >= 1, got {n}")
     r, m = _split_two_part(n)
     multiplier = 4 if r == 0 else (8 if r == 1 else 24)
-    formula = multiplier * sigma(m)
-    oracle = rep_count_oracle(n, bound=bound) if with_oracle else None
-    return CountResult(formula, oracle, (r, m))
+    return CountResult(multiplier * sigma(m), (r, m))
 
 
 def complementary_count_formula(m: int, case: str) -> int:
@@ -114,19 +111,18 @@ def _square_sums(limit: int, pu: int | None, pv: int | None, scale: int) -> dict
     return sums
 
 
-def rep_count_oracle(n: int, restriction: str = "none",
-                     bound: int = DEFAULT_ORACLE_BOUND) -> int:
+def rep_count_oracle(n: int, restriction: str = "none") -> int:
     """Count solutions of x^2 + y^2 + 2z^2 + 2w^2 = n by direct enumeration.
 
     Ordered, signed tuples; the parity restriction must match n's shape.
 
     Raises:
-        ValueError: n < 1, n > bound, or an inconsistent restriction.
+        ValueError: n < 1, n > ORACLE_BOUND, or an inconsistent restriction.
     """
     if n < 1:
         raise ValueError(f"oracle is defined for n >= 1, got {n}")
-    if n > bound:
-        raise ValueError(f"n = {n} exceeds the oracle bound {bound}")
+    if n > ORACLE_BOUND:
+        raise ValueError(f"n = {n} exceeds the oracle bound {ORACLE_BOUND}")
     check_restricted_n(n, restriction)
     total = 0
     for px, py, pz, pw in RESTRICTIONS[restriction]:
@@ -162,8 +158,7 @@ def rep_counts_upto(limit: int, restriction: str = "none") -> list[int]:
 
 # -- lattice enumeration ------------------------------------------------------
 
-def enumerate_norm_solutions(n: int, integral: bool = False,
-                             bound: int = DEFAULT_ORACLE_BOUND) -> tuple[OrderElement, ...]:
+def enumerate_norm_solutions(n: int, integral: bool = False) -> tuple[OrderElement, ...]:
     """All elements of norm n, sorted by coordinates.
 
     With integral=True only the sublattice spanned by {1, i, sqrt2 j,
@@ -173,8 +168,8 @@ def enumerate_norm_solutions(n: int, integral: bool = False,
     """
     if n < 1:
         raise ValueError(f"norm must be positive, got {n}")
-    if n > bound:
-        raise ValueError(f"n = {n} exceeds the enumeration bound {bound}")
+    if n > ENUMERATION_BOUND:
+        raise ValueError(f"n = {n} exceeds the enumeration bound {ENUMERATION_BOUND}")
     found = []
     # Half coordinates: A^2 + B^2 + 2C^2 + 2D^2 = 4n with A = B,
     # A = C + D (mod 2).

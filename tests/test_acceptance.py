@@ -22,13 +22,13 @@ from quat1122 import (
     div_rem,
     enumerate_norm_solutions,
     factor_primitive,
-    from_half,
     full_factor,
     gcd,
     is_primary,
     primary_primes_of_norm,
     q_formula,
     rep_count_formula,
+    rep_count_oracle,
     rep_counts_upto,
     sigma,
     solve_rs,
@@ -76,7 +76,7 @@ def test_criterion_02_complementary_representations():
 def test_criterion_03_spot_values():
     """Frozen spot values, each confirmed by direct enumeration."""
     for n, expected in ((1, 4), (2, 8), (4, 24)):
-        assert rep_count_formula(n, with_oracle=True).oracle_count == expected
+        assert rep_count_oracle(n) == expected
         assert rep_count_formula(n).formula_count == expected
     oracle_i = rep_counts_upto(4, "i")
     oracle_ii = rep_counts_upto(8, "ii")
@@ -114,7 +114,7 @@ def test_criterion_06_units():
                     if (A - B) % 2 or (A - C - D) % 2:
                         continue
                     if A * A + B * B + 2 * C * C + 2 * D * D == 4:
-                        found.add(from_half((A, B, C, D)))
+                        found.add(OrderElement.from_half(A, B, C, D))
     assert found == set(units())
     assert len(found) == 24
     assert sum(1 for u in units() if u.is_integral) == 4

@@ -1,4 +1,5 @@
 import json
+import time
 
 from quat1122 import OrderElement, parse
 from quat1122.cli import main
@@ -102,6 +103,14 @@ def test_tau_even_modulus(capsys):
     assert code == 1
 
 
+def test_tau_large_modulus_rejected_fast(capsys):
+    start = time.monotonic()
+    code, _, err = run(capsys, "tau", "-m", "99999999977", "[0,1,0,0]")
+    assert time.monotonic() - start < 1.0
+    assert code == 1
+    assert "bound 10000000" in err
+
+
 def test_primary(capsys):
     code, blob, _ = run_json(capsys, "primary", "[0,1,0,0]", "--json")
     assert code == 0
@@ -125,6 +134,14 @@ def test_primes_p2_is_an_error(capsys):
     code, _, err = run(capsys, "primes", "-p", "2")
     assert code == 1
     assert "1+i" in err
+
+
+def test_primes_large_p_rejected_fast(capsys):
+    start = time.monotonic()
+    code, _, err = run(capsys, "primes", "-p", "999983")
+    assert time.monotonic() - start < 1.0
+    assert code == 1
+    assert "bound 20000" in err
 
 
 def test_verify_full_sweep_exits_zero(capsys):

@@ -5,12 +5,8 @@ import pytest
 from quat1122 import (
     HalfCoords,
     OrderElement,
-    format_element,
     format_half,
-    from_half,
-    is_unit,
     parse,
-    to_half,
     unit_inverse,
     units,
 )
@@ -43,24 +39,24 @@ def rand_elem(rng, lo=-50, hi=50):
 # -- coordinate views --------------------------------------------------------
 
 def test_half_coords_examples():
-    assert to_half(V3) == HalfCoords(1, 1, 1, 0)
-    assert to_half(ONE_PLUS_I) == HalfCoords(2, 2, 0, 0)
+    assert V3.half_coords == HalfCoords(1, 1, 1, 0)
+    assert ONE_PLUS_I.half_coords == HalfCoords(2, 2, 0, 0)
     # v1+v2+v3+v4 = 2 + 2i + (sqrt2/2)j + (sqrt2/2)k, norm (16+16+2+2)/4 = 9
-    assert to_half(OrderElement(1, 1, 1, 1)) == HalfCoords(4, 4, 1, 1)
+    assert OrderElement(1, 1, 1, 1).half_coords == HalfCoords(4, 4, 1, 1)
 
 
 def test_half_round_trip():
     rng = random.Random(1)
     for _ in range(500):
         e = rand_elem(rng)
-        assert from_half(to_half(e)) == e
-        assert from_half(to_half(e)).norm() == e.norm()
+        assert OrderElement.from_half(*e.half_coords) == e
+        assert OrderElement.from_half(*e.half_coords).norm() == e.norm()
 
 
 @pytest.mark.parametrize("bad", [(1, 0, 1, 0), (1, 1, 1, 1), (0, 1, 0, 0), (2, 2, 1, 0)])
 def test_from_half_rejects_parity_violations(bad):
     with pytest.raises(ValueError):
-        from_half(bad)
+        OrderElement.from_half(*bad)
 
 
 def test_from_standard():
@@ -182,14 +178,14 @@ def test_unit_search_exhaustive():
                     if (A - B) % 2 or (A - C - D) % 2:
                         continue
                     if A * A + B * B + 2 * C * C + 2 * D * D == 4:
-                        found.add(from_half((A, B, C, D)))
+                        found.add(OrderElement.from_half(A, B, C, D))
     assert found == UNIT_TABLE
 
 
 def test_is_unit_examples():
-    assert is_unit(V4 + V3 - I - ONE)
-    assert not is_unit(ONE_PLUS_I)
-    assert not is_unit(ZERO)
+    assert (V4 + V3 - I - ONE).is_unit()
+    assert not ONE_PLUS_I.is_unit()
+    assert not ZERO.is_unit()
 
 
 def test_unit_inverse():
@@ -207,7 +203,7 @@ def test_parse_examples():
     assert parse("(2+2i)/2") == ONE_PLUS_I
     assert parse("(1+1i+1r2j+0r2k)/2") == V3
     assert parse(" [ 1, -2, 3, 4 ] ") == OrderElement(1, -2, 3, 4)
-    assert parse("(-2+2i-2r2j+4r2k)/2") == from_half((-2, 2, -2, 4))
+    assert parse("(-2+2i-2r2j+4r2k)/2") == OrderElement.from_half(-2, 2, -2, 4)
 
 
 @pytest.mark.parametrize("bad", [
@@ -229,7 +225,7 @@ def test_format_round_trip():
     rng = random.Random(8)
     for _ in range(300):
         e = rand_elem(rng)
-        assert parse(format_element(e)) == e
+        assert parse(str(e)) == e
         assert parse(format_half(e)) == e
 
 

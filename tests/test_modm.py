@@ -22,7 +22,7 @@ from quat1122 import (
     xi_basis,
 )
 from quat1122.core import I, ONE, V3
-from quat1122.modm import iter_residues
+from quat1122.modm import SOLVE_RS_BOUND, iter_residues
 
 
 def rand_residue(rng, m):
@@ -87,6 +87,27 @@ def test_solve_rs_examples():
     # lexicographically smallest solutions: 2^-1 = 2 mod 3 and 2 + 0 + 1 = 3
     assert solve_rs(3) == RSParams(3, 0, 1)
     assert solve_rs(5) == RSParams(5, 1, 1)
+
+
+def nested_search_rs(m):
+    """The lexicographically smallest (r, s) by trying every pair in order."""
+    inv2 = pow(2, -1, m)
+    for r in range(m):
+        rr = (inv2 + r * r) % m
+        for s in range(m):
+            if (rr + s * s) % m == 0:
+                return RSParams(m, r, s)
+    raise AssertionError(f"no (r, s) for m = {m}")
+
+
+def test_solve_rs_matches_nested_search():
+    for m in range(1, 4000, 2):
+        assert solve_rs(m) == nested_search_rs(m), f"m={m}"
+
+
+def test_solve_rs_rejects_modulus_above_bound():
+    with pytest.raises(ValueError, match=f"bound {SOLVE_RS_BOUND}$"):
+        solve_rs(SOLVE_RS_BOUND + 1)
 
 
 def test_solve_rs_invariant_holds():

@@ -16,6 +16,7 @@ from quat1122 import (
     units,
 )
 from quat1122.core import I, ONE, ONE_PLUS_I
+from quat1122.repcount import ENUMERATION_BOUND, ORACLE_BOUND
 
 #: Which signed (x, y, z, w) each restriction counts, stated directly.
 ADMITS = {
@@ -95,8 +96,8 @@ def test_rep_count_spot_values(n, expected):
 
 
 def test_rep_count_with_oracle():
-    res = rep_count_formula(12, with_oracle=True)
-    assert res.formula_count == res.oracle_count == 96
+    res = rep_count_formula(12)
+    assert res.formula_count == rep_count_oracle(12) == 96
     assert res.decomposition == (2, 3)
 
 
@@ -108,10 +109,10 @@ def test_rep_count_rejects_nonpositive():
 
 
 def test_oracle_bound():
-    with pytest.raises(ValueError):
-        rep_count_oracle(100, bound=50)
-    with pytest.raises(ValueError):
-        enumerate_norm_solutions(100, bound=50)
+    with pytest.raises(ValueError, match=f"oracle bound {ORACLE_BOUND}$"):
+        rep_count_oracle(ORACLE_BOUND + 1)
+    with pytest.raises(ValueError, match=f"enumeration bound {ENUMERATION_BOUND}$"):
+        enumerate_norm_solutions(ENUMERATION_BOUND + 1)
 
 
 def test_oracle_matches_reference_small():
