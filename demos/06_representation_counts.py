@@ -2,7 +2,6 @@
 """How many ways does x^2 + y^2 + 2z^2 + 2w^2 represent n?  Formula vs oracle."""
 
 from quat1122 import (
-    complementary_count_formula,
     rep_count_formula,
     rep_count_oracle,
     rep_counts_upto,
@@ -22,9 +21,9 @@ print()
 print(" m    case i (n=4m)   case ii (n=8m)   case iii (n=4m)")
 for m in (1, 3, 5, 9, 15):
     counts = [
-        (complementary_count_formula(m, "i"), rep_count_oracle(4 * m, "i")),
-        (complementary_count_formula(m, "ii"), rep_count_oracle(8 * m, "ii")),
-        (complementary_count_formula(m, "iii"), rep_count_oracle(4 * m, "iii")),
+        (rep_count_formula(4 * m, "i").formula_count, rep_count_oracle(4 * m, "i")),
+        (rep_count_formula(8 * m, "ii").formula_count, rep_count_oracle(8 * m, "ii")),
+        (rep_count_formula(4 * m, "iii").formula_count, rep_count_oracle(4 * m, "iii")),
     ]
     cells = "   ".join(f"{f:5} = {o:5}" for f, o in counts)
     print(f"{m:2}   {cells}   (sigma = {sigma(m)})")

@@ -64,7 +64,6 @@ from .modm import (
 )
 from .repcount import (
     CountResult,
-    complementary_count_formula,
     count_primary_enum,
     count_primitive_enum,
     enumerate_norm_solutions,
@@ -87,7 +86,6 @@ __all__ = [
     "RSParams",
     "ResidueElement",
     "XiBasis",
-    "complementary_count_formula",
     "count_annihilator_enum",
     "count_norm1",
     "count_norm1_enum",

@@ -46,15 +46,12 @@ def _quat(text: str) -> OrderElement:
 
 def _run_count(args) -> int:
     n = args.n
-    if args.restriction == "none":
-        result = repcount.rep_count_formula(n)
-        formula = result.formula_count
-        decomposition = {"two_exponent": result.decomposition[0],
-                         "odd_part": result.decomposition[1]}
+    result = repcount.rep_count_formula(n, args.restriction)
+    formula = result.formula_count
+    r, m = result.decomposition
+    if repcount.RESTRICTIONS[args.restriction].two_exponent is None:
+        decomposition = {"two_exponent": r, "odd_part": m}
     else:
-        repcount.check_restricted_n(n, args.restriction)
-        m = n // (8 if args.restriction == "ii" else 4)
-        formula = repcount.complementary_count_formula(m, args.restriction)
         decomposition = {"odd_part": m}
     payload = {"n": n, "restriction": args.restriction, "formula": formula,
                "decomposition": decomposition}
@@ -141,28 +138,16 @@ def _run_primes(args) -> int:
 def _run_verify(args) -> int:
     limit = args.max_n
     mismatches: list[dict] = []
-
-    counts = repcount.rep_counts_upto(limit)
-    for n in range(1, limit + 1):
-        formula = repcount.rep_count_formula(n).formula_count
-        if counts[n] != formula:
-            mismatches.append({"n": n, "restriction": "none",
-                               "formula": formula, "oracle": counts[n]})
-    checked = {"none": limit}
-
-    for case, n_of_m in (("i", 4), ("ii", 8), ("iii", 4)):
-        case_counts = repcount.rep_counts_upto(limit, case)
-        m = 1
-        checked_case = 0
-        while n_of_m * m <= limit:
-            formula = repcount.complementary_count_formula(m, case)
-            oracle = case_counts[n_of_m * m]
-            if formula != oracle:
-                mismatches.append({"n": n_of_m * m, "restriction": case,
-                                   "formula": formula, "oracle": oracle})
-            checked_case += 1
-            m += 2
-        checked[case] = checked_case
+    checked: dict[str, int] = {}
+    for case in ("none", "i", "ii", "iii"):
+        counts = repcount.rep_counts_upto(limit, case)
+        admissible = repcount.RESTRICTIONS[case].admissible(limit)
+        for n in admissible:
+            formula = repcount.rep_count_formula(n, case).formula_count
+            if counts[n] != formula:
+                mismatches.append({"n": n, "restriction": case,
+                                   "formula": formula, "oracle": counts[n]})
+        checked[case] = len(admissible)
 
     payload = {"max_n": limit, "checked": checked,
                "mismatches": mismatches, "ok": not mismatches}

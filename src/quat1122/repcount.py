@@ -1,16 +1,19 @@
 """Counting: how often x^2 + y^2 + 2z^2 + 2w^2 represents an integer.
 
-The representation count of n = 2^r * m (m odd) is 4*sigma(m), 8*sigma(m)
-or 24*sigma(m) according as r = 0, r = 1 or r >= 2, sigma being the sum of
-divisors.  Three further counts cover representations of 4m and 8m under
-parity restrictions on (x, y, z, w).
+Every representation count here is multiplier * sigma(m) for n = 2^r * m
+with m odd, sigma being the sum of divisors: unrestricted, or with parity
+restrictions on (x, y, z, w) that count representations of 4m or 8m.
+``RESTRICTIONS`` is the single table of these rules.  Each entry holds the
+restriction's parity patterns, the r it needs and its multipliers.
 
-Everything here is double-entry: each closed formula is paired with a
-brute-force oracle that enumerates integer 4-tuples directly, sharing no
-code with the formula path.  Both oracles share one core, ``_square_sums``,
-which counts the signed pairs behind each value of x^2 + y^2 or
-2z^2 + 2w^2 under one parity pattern: ``rep_count_oracle`` pairs the two
-maps at a single n, ``rep_counts_upto`` convolves them for every n <= N.
+Everything here is double-entry: ``rep_count_formula`` reads the
+multipliers, while the brute-force oracles read the parity patterns and
+enumerate integer 4-tuples directly.  The two paths share only the check
+that n has the shape its restriction needs.  Both oracles share one core,
+``_square_sums``, which counts the signed pairs behind each value of
+x^2 + y^2 or 2z^2 + 2w^2 under one parity pattern: ``rep_count_oracle``
+pairs the two maps at a single n, ``rep_counts_upto`` convolves them for
+every n <= N.
 """
 
 from __future__ import annotations
@@ -23,19 +26,38 @@ from .core import OrderElement
 from .dyadic import is_primary
 from .intarith import factorize, sigma
 
+COUNT_BOUND = 10**15  # sigma(m) trial-divides: about 2 s for the worst m
 ORACLE_BOUND = 10**6
+TABLE_BOUND = 5 * 10**4  # rep_counts_upto at the bound takes about 10 s
 ENUMERATION_BOUND = 2 * 10**4  # the lattice search costs about n^1.5
 
-#: Parity patterns (x, y, z, w) per restriction; None = unrestricted,
-#: 0 = even, 1 = odd.  A tuple counts if it matches any pattern; the two
-#: of case "iii" are also available alone as "iii-zodd" / "iii-wodd".
+
+@dataclass(frozen=True, slots=True)
+class Restriction:
+    """One counting theorem: count(n) = multiplier * sigma(m), n = 2^r * m, m odd."""
+
+    #: Parities (x, y, z, w), one of which a tuple must match; None = any,
+    #: 0 = even, 1 = odd.
+    patterns: tuple[tuple[int | None, ...], ...]
+    two_exponent: int | None  # the r that n must have; None = any r
+    multipliers: tuple[int, ...]  # for r = 0, 1, ...; the last for all larger r
+
+    def admissible(self, limit: int) -> range:
+        """The n in [1, limit] that this theorem speaks about."""
+        if self.two_exponent is None:
+            return range(1, limit + 1)
+        return range(2**self.two_exponent, limit + 1, 2 ** (self.two_exponent + 1))
+
+
+#: The representation counts, by restriction name.  The two patterns of
+#: case "iii" are also available alone as "iii-zodd" / "iii-wodd".
 RESTRICTIONS = {
-    "none": ((None, None, None, None),),
-    "i": ((0, 0, 1, 1),),
-    "ii": ((0, 0, 1, 1),),
-    "iii": ((1, 1, 1, 0), (1, 1, 0, 1)),
-    "iii-zodd": ((1, 1, 1, 0),),
-    "iii-wodd": ((1, 1, 0, 1),),
+    "none": Restriction(((None, None, None, None),), None, (4, 8, 24)),
+    "i": Restriction(((0, 0, 1, 1),), 2, (4,)),
+    "ii": Restriction(((0, 0, 1, 1),), 3, (16,)),
+    "iii": Restriction(((1, 1, 1, 0), (1, 1, 0, 1)), 2, (16,)),
+    "iii-zodd": Restriction(((1, 1, 1, 0),), 2, (8,)),
+    "iii-wodd": Restriction(((1, 1, 0, 1),), 2, (8,)),
 }
 
 
@@ -45,55 +67,37 @@ class CountResult:
     decomposition: tuple[int, int]  # n = 2^r * m
 
 
-def _split_two_part(n: int) -> tuple[int, int]:
-    r = 0
-    while n % 2 == 0:
-        n //= 2
-        r += 1
-    return r, n
+def _rule(restriction: str) -> Restriction:
+    try:
+        return RESTRICTIONS[restriction]
+    except KeyError:
+        raise ValueError(f"unknown restriction {restriction!r}") from None
 
 
-def check_restricted_n(n: int, restriction: str) -> None:
-    """Raise ValueError unless n has the shape the parity restriction needs."""
-    if restriction == "none":
-        return
-    if restriction in ("i", "iii", "iii-zodd", "iii-wodd"):
-        if n % 4 or (n // 4) % 2 == 0:
-            raise ValueError(f"restriction {restriction!r} needs n = 4m with m odd, got {n}")
-    elif restriction == "ii":
-        if n % 8 or (n // 8) % 2 == 0:
-            raise ValueError(f"restriction 'ii' needs n = 8m with m odd, got {n}")
-    else:
-        raise ValueError(f"unknown restriction {restriction!r}")
+def _split_shaped(n: int, restriction: str) -> tuple[Restriction, int, int]:
+    """The rule and n = 2^r * m (n >= 1); ValueError unless the rule admits r."""
+    rule = _rule(restriction)
+    r = (n & -n).bit_length() - 1
+    if rule.two_exponent not in (None, r):
+        raise ValueError(f"restriction {restriction!r} needs "
+                         f"n = {2**rule.two_exponent}m with m odd, got {n}")
+    return rule, r, n >> r
 
 
-def rep_count_formula(n: int) -> CountResult:
+def rep_count_formula(n: int, restriction: str = "none") -> CountResult:
     """Closed-form representation count of n; rep_count_oracle checks it.
 
     Raises:
-        ValueError: n < 1 (the form represents 0 only trivially).
+        ValueError: n < 1 (the form represents 0 only trivially), n >
+            COUNT_BOUND, or an n whose shape the restriction does not admit.
     """
     if n < 1:
         raise ValueError(f"representation count is defined for n >= 1, got {n}")
-    r, m = _split_two_part(n)
-    multiplier = 4 if r == 0 else (8 if r == 1 else 24)
+    if n > COUNT_BOUND:
+        raise ValueError(f"n = {n} exceeds the count bound {COUNT_BOUND}")
+    rule, r, m = _split_shaped(n, restriction)
+    multiplier = rule.multipliers[min(r, len(rule.multipliers) - 1)]
     return CountResult(multiplier * sigma(m), (r, m))
-
-
-def complementary_count_formula(m: int, case: str) -> int:
-    """Counts for the parity-restricted representations of 4m and 8m (m odd).
-
-    case "i":   4m with x, y even and z, w odd        -> 4*sigma(m)
-    case "ii":  8m with x, y even and z, w odd        -> 16*sigma(m)
-    case "iii": 4m with x, y odd and z, w of opposite parity -> 16*sigma(m)
-    """
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"m must be odd and positive, got {m}")
-    if case == "i":
-        return 4 * sigma(m)
-    if case in ("ii", "iii"):
-        return 16 * sigma(m)
-    raise ValueError(f"unknown case {case!r}")
 
 
 def _square_sums(limit: int, pu: int | None, pv: int | None, scale: int) -> dict[int, int]:
@@ -123,9 +127,8 @@ def rep_count_oracle(n: int, restriction: str = "none") -> int:
         raise ValueError(f"oracle is defined for n >= 1, got {n}")
     if n > ORACLE_BOUND:
         raise ValueError(f"n = {n} exceeds the oracle bound {ORACLE_BOUND}")
-    check_restricted_n(n, restriction)
     total = 0
-    for px, py, pz, pw in RESTRICTIONS[restriction]:
+    for px, py, pz, pw in _split_shaped(n, restriction)[0].patterns:
         zw = _square_sums(n, pz, pw, 2)
         for t, c in _square_sums(n, px, py, 1).items():
             total += c * zw.get(n - t, 0)
@@ -137,15 +140,18 @@ def rep_counts_upto(limit: int, restriction: str = "none") -> list[int]:
 
     Convolves the value counts of x^2 + y^2 against those of 2z^2 + 2w^2
     under the restriction's parities.  Counts are tabulated for every n;
-    the restricted counting theorems only speak about n of the matching
-    shape (4m or 8m with m odd).
+    the restricted counting theorems only speak about the n that
+    ``RESTRICTIONS[restriction].admissible(limit)`` lists.
+
+    Raises:
+        ValueError: limit < 0, limit > TABLE_BOUND, or an unknown restriction.
     """
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
-    if restriction not in RESTRICTIONS:
-        raise ValueError(f"unknown restriction {restriction!r}")
+    if limit > TABLE_BOUND:
+        raise ValueError(f"limit = {limit} exceeds the table bound {TABLE_BOUND}")
     counts = [0] * (limit + 1)
-    for px, py, pz, pw in RESTRICTIONS[restriction]:
+    for px, py, pz, pw in _rule(restriction).patterns:
         zw_items = sorted(_square_sums(limit, pz, pw, 2).items())
         for t1, c1 in _square_sums(limit, px, py, 1).items():
             room = limit - t1

@@ -11,7 +11,6 @@ import time
 
 from quat1122 import (
     OrderElement,
-    complementary_count_formula,
     count_annihilator_enum,
     count_norm1,
     count_norm1_enum,
@@ -67,7 +66,7 @@ def test_criterion_02_complementary_representations():
     for case, n_per_m, multiplier in cases:
         oracle = rep_counts_upto(n_per_m * 199, case)
         for m in range(1, 200, 2):
-            formula = complementary_count_formula(m, case)
+            formula = rep_count_formula(n_per_m * m, case).formula_count
             assert formula == multiplier * sigma(m)
             assert oracle[n_per_m * m] == formula, f"case {case}, m={m}"
     _ok(2, "cases i/ii/iii match the restricted oracle for odd m <= 199")

@@ -47,6 +47,14 @@ def test_count_inconsistent_restriction(capsys):
     assert code == 1
 
 
+def test_count_large_n_rejected_fast(capsys):
+    start = time.monotonic()
+    code, _, err = run(capsys, "count", "100000000000000000039")
+    assert time.monotonic() - start < 1.0
+    assert code == 1
+    assert "bound 1000000000000000" in err
+
+
 def test_factor_json_round_trips(capsys):
     code, blob, _ = run_json(capsys, "factor", "[3,0,0,0]", "--json")
     assert code == 0
@@ -148,6 +156,14 @@ def test_verify_full_sweep_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "5000")
     assert code == 0
     assert "PASSED" in out
+
+
+def test_verify_large_max_n_rejected_fast(capsys):
+    start = time.monotonic()
+    code, _, err = run(capsys, "verify", "--max-n", "1000000000")
+    assert time.monotonic() - start < 1.0
+    assert code == 1
+    assert "bound 50000" in err
 
 
 def test_verify_small_sweep(capsys):

@@ -3,7 +3,6 @@ from math import isqrt
 import pytest
 
 from quat1122 import (
-    complementary_count_formula,
     count_primary_enum,
     count_primitive_enum,
     enumerate_norm_solutions,
@@ -120,10 +119,14 @@ def test_oracle_matches_reference_small():
         admitted = admitted_restrictions(n)
         for restriction in ADMITS:
             if restriction in admitted:
-                assert rep_count_oracle(n, restriction) == reference_oracle(n, restriction)
+                expected = reference_oracle(n, restriction)
+                assert rep_count_oracle(n, restriction) == expected
+                assert rep_count_formula(n, restriction).formula_count == expected
             else:
                 with pytest.raises(ValueError):
                     rep_count_oracle(n, restriction)
+                with pytest.raises(ValueError):
+                    rep_count_formula(n, restriction)
 
 
 @pytest.mark.parametrize("n", [10007, 13122, 15000, 16384, 19996])
@@ -147,21 +150,21 @@ def test_restricted_spot_values():
 
 
 def test_complementary_formula_values():
-    assert complementary_count_formula(1, "i") == 4
-    assert complementary_count_formula(1, "ii") == 16
-    assert complementary_count_formula(1, "iii") == 16
-    assert complementary_count_formula(3, "iii") == 64
+    assert rep_count_formula(4 * 1, "i").formula_count == 4
+    assert rep_count_formula(8 * 1, "ii").formula_count == 16
+    assert rep_count_formula(4 * 1, "iii").formula_count == 16
+    assert rep_count_formula(4 * 3, "iii").formula_count == 64
     with pytest.raises(ValueError):
-        complementary_count_formula(2, "i")
+        rep_count_formula(4 * 2, "i")
     with pytest.raises(ValueError):
-        complementary_count_formula(3, "iv")
+        rep_count_formula(4 * 3, "iv")
 
 
 @pytest.mark.parametrize("m", [1, 3, 5, 7, 9, 15])
 def test_restricted_oracle_matches_formula(m):
-    assert rep_count_oracle(4 * m, "i") == complementary_count_formula(m, "i")
-    assert rep_count_oracle(8 * m, "ii") == complementary_count_formula(m, "ii")
-    assert rep_count_oracle(4 * m, "iii") == complementary_count_formula(m, "iii")
+    assert rep_count_oracle(4 * m, "i") == rep_count_formula(4 * m, "i").formula_count
+    assert rep_count_oracle(8 * m, "ii") == rep_count_formula(8 * m, "ii").formula_count
+    assert rep_count_oracle(4 * m, "iii") == rep_count_formula(4 * m, "iii").formula_count
 
 
 @pytest.mark.parametrize("m", [1, 3, 5, 9])
