@@ -185,7 +185,7 @@ def primary_primes_of_norm(p: int) -> tuple[PrimaryPrime, ...]:
     if not is_prime(p):
         raise ValueError(f"{p} is not a rational prime")
     return tuple(
-        PrimaryPrime(e, p) for e in enumerate_norm_solutions(p) if is_primary(e)
+        PrimaryPrime(e, p) for e in enumerate_norm_solutions(p, primary=True)
     )
 
 

@@ -18,7 +18,9 @@ every n <= N.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import product, starmap
 from math import gcd as int_gcd
 from math import isqrt
 
@@ -29,7 +31,7 @@ from .intarith import factorize, sigma
 COUNT_BOUND = 10**15  # sigma(m) trial-divides: about 2 s for the worst m
 ORACLE_BOUND = 10**6
 TABLE_BOUND = 5 * 10**4  # rep_counts_upto at the bound takes about 10 s
-ENUMERATION_BOUND = 2 * 10**4  # the lattice search costs about n^1.5
+ENUMERATION_BOUND = 2 * 10**4  # the whole shell at the bound takes about 2 s, primes -p 0.7 s
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,41 +166,70 @@ def rep_counts_upto(limit: int, restriction: str = "none") -> list[int]:
 
 # -- lattice enumeration ------------------------------------------------------
 
-def enumerate_norm_solutions(n: int, integral: bool = False) -> tuple[OrderElement, ...]:
+def _signed(v: int) -> tuple[int, ...]:
+    return (v, -v) if v else (0,)
+
+
+def _shell(target: int, parity: bool) -> Iterator[tuple[int, int, int, int]]:
+    """Every integer (a, b, c, d) with a^2 + b^2 + 2c^2 + 2d^2 = target.
+
+    With parity=True only the tuples with b = c + d (mod 2) come out; a
+    then has the parity of target + c + d.  Loops c, d and b over
+    nonnegative values, b within its parity class, solves for a with
+    isqrt and yields every sign choice, so nothing but the output is held.
+    """
+    step = 2 if parity else 1
+    for c in range(isqrt(target // 2) + 1):
+        rem_c = target - 2 * c * c
+        for d in range(isqrt(rem_c // 2) + 1):
+            rem_cd = rem_c - 2 * d * d
+            for b in range((c + d) % 2 if parity else 0, isqrt(rem_cd) + 1, step):
+                rem = rem_cd - b * b
+                a = isqrt(rem)
+                if a * a == rem:
+                    yield from product(_signed(a), _signed(b), _signed(c), _signed(d))
+
+
+def enumerate_norm_solutions(
+    n: int, integral: bool = False, primary: bool = False
+) -> tuple[OrderElement, ...]:
     """All elements of norm n, sorted by coordinates.
 
-    With integral=True only the sublattice spanned by {1, i, sqrt2 j,
-    sqrt2 k} (all half coordinates even) is kept; its norm-n elements
-    correspond one-to-one with the representations of n by the quadratic
-    form.
+    Each mode is one ``_shell`` search:
+
+    - default: the whole order, as half coordinates (A, B, C, D) with
+      A^2 + B^2 + 2C^2 + 2D^2 = 4n and A = B = C + D (mod 2).
+    - integral=True: the sublattice spanned by {1, i, sqrt2 j, sqrt2 k},
+      whose norm-n elements are the representations (x, y, z, w) of n by
+      the quadratic form, searched at n directly.
+    - primary=True, odd n only (integral is then implied): the primary
+      elements.  These are 1 mod 2, hence integral with y = z + w and
+      x = 1 + z + w (mod 2); only those 2 * sigma(n) representations are
+      searched, and ``is_primary`` keeps half of them.
+
+    The loops take about n^1.5 steps by default, a quarter of that with
+    integral=True and an eighth with primary=True; building the elements
+    costs about 3 us each.  On one core of a Xeon VM with CPython 3.11 the
+    default shell at n = 5000 takes 0.08 s (18,744 elements), at n = 19997
+    1.7 s (479,952), and primary=True at n = 19997 0.5 s.
+
+    Raises:
+        ValueError: n < 1, n > ENUMERATION_BOUND, or primary=True with an
+            even n (primary elements have odd norm).
     """
     if n < 1:
         raise ValueError(f"norm must be positive, got {n}")
     if n > ENUMERATION_BOUND:
         raise ValueError(f"n = {n} exceeds the enumeration bound {ENUMERATION_BOUND}")
-    found = []
-    # Half coordinates: A^2 + B^2 + 2C^2 + 2D^2 = 4n with A = B,
-    # A = C + D (mod 2).
-    target = 4 * n
-    for A in range(-isqrt(target), isqrt(target) + 1):
-        rem_a = target - A * A
-        for B in range(-isqrt(rem_a), isqrt(rem_a) + 1):
-            if (A - B) % 2:
-                continue
-            rem_ab = rem_a - B * B
-            for C in range(-isqrt(rem_ab // 2), isqrt(rem_ab // 2) + 1):
-                rem = rem_ab - 2 * C * C
-                if rem % 2:
-                    continue
-                D = isqrt(rem // 2)
-                if 2 * D * D != rem:
-                    continue
-                for DD in ({D, -D}):
-                    if (A - C - DD) % 2:
-                        continue
-                    if integral and (A | B | C | DD) & 1:
-                        continue
-                    found.append(OrderElement.from_half(A, B, C, DD))
+    if primary:
+        if n % 2 == 0:
+            raise ValueError(f"primary elements have odd norm, got {n}")
+        found = [e for e in starmap(OrderElement.from_standard, _shell(n, True))
+                 if is_primary(e)]
+    elif integral:
+        found = list(starmap(OrderElement.from_standard, _shell(n, False)))
+    else:
+        found = list(starmap(OrderElement.from_half, _shell(4 * n, True)))
     found.sort(key=lambda e: e.coords)
     return tuple(found)
 
@@ -220,8 +251,7 @@ def count_primitive_enum(m: int) -> int:
     if m < 1 or m % 2 == 0:
         raise ValueError(f"m must be odd and positive, got {m}")
     return sum(
-        1 for e in enumerate_norm_solutions(m)
-        if is_primary(e) and int_gcd(*e.coords) == 1
+        1 for e in enumerate_norm_solutions(m, primary=True) if int_gcd(*e.coords) == 1
     )
 
 
@@ -229,4 +259,4 @@ def count_primary_enum(m: int) -> int:
     """Primary elements of norm m counted by lattice enumeration; equals sigma(m)."""
     if m < 1 or m % 2 == 0:
         raise ValueError(f"m must be odd and positive, got {m}")
-    return sum(1 for e in enumerate_norm_solutions(m) if is_primary(e))
+    return len(enumerate_norm_solutions(m, primary=True))

@@ -152,6 +152,18 @@ def test_primes_large_p_rejected_fast(capsys):
     assert "bound 20000" in err
 
 
+def test_primes_near_the_bound(capsys):
+    start = time.monotonic()
+    code, blob, _ = run_json(capsys, "primes", "-p", "19997", "--json")
+    assert time.monotonic() - start < 10.0
+    assert code == 0
+    assert blob["count"] == 19998
+    assert len({tuple(e["v"]) for e in blob["primes"]}) == 19998
+    code, _, err = run(capsys, "primes", "-p", "20011")
+    assert code == 1
+    assert "20000" in err
+
+
 def test_verify_full_sweep_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "5000")
     assert code == 0

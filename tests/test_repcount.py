@@ -3,10 +3,12 @@ from math import isqrt
 import pytest
 
 from quat1122 import (
+    OrderElement,
     count_primary_enum,
     count_primitive_enum,
     enumerate_norm_solutions,
     is_primary,
+    primary_primes_of_norm,
     q_formula,
     rep_count_formula,
     rep_count_oracle,
@@ -15,6 +17,7 @@ from quat1122 import (
     units,
 )
 from quat1122.core import I, ONE, ONE_PLUS_I
+from quat1122.intarith import is_prime
 from quat1122.repcount import ENUMERATION_BOUND, ORACLE_BOUND
 
 #: Which signed (x, y, z, w) each restriction counts, stated directly.
@@ -44,6 +47,41 @@ def reference_oracle(n, restriction="none"):
                 if 2 * w * w == rem and admits(x, y, z, w):
                     total += (2 - (x == 0)) * (2 - (y == 0)) * (2 - (z == 0)) * (2 - (w == 0))
     return total
+
+
+def reference_norm_shell(n):
+    """Elements of norm n by a direct triple loop over half coordinates, sorted."""
+    found = []
+    # A^2 + B^2 + 2C^2 + 2D^2 = 4n with A = B, A = C + D (mod 2).
+    target = 4 * n
+    for A in range(-isqrt(target), isqrt(target) + 1):
+        rem_a = target - A * A
+        for B in range(-isqrt(rem_a), isqrt(rem_a) + 1):
+            if (A - B) % 2:
+                continue
+            rem_ab = rem_a - B * B
+            for C in range(-isqrt(rem_ab // 2), isqrt(rem_ab // 2) + 1):
+                rem = rem_ab - 2 * C * C
+                if rem % 2:
+                    continue
+                D = isqrt(rem // 2)
+                if 2 * D * D != rem:
+                    continue
+                for DD in {D, -D}:
+                    if (A - C - DD) % 2 == 0:
+                        found.append(OrderElement.from_half(A, B, C, DD))
+    found.sort(key=lambda e: e.coords)
+    return tuple(found)
+
+
+def reference_primary(n):
+    """The primary elements of norm n, taken from the reference shell.
+
+    A primary element is 1 or 1 + 2*v3 modulo 2(1+i), hence 1 mod 2; the
+    cheap coordinate parity test only skips elements is_primary rejects.
+    """
+    return tuple(e for e in reference_norm_shell(n)
+                 if [g % 2 for g in e.coords] == [1, 0, 0, 0] and is_primary(e))
 
 
 def admitted_restrictions(n):
@@ -79,6 +117,12 @@ def test_primary_counts_small():
 def test_primitive_counts_small():
     assert count_primitive_enum(3) == 4
     assert count_primitive_enum(15) == 24
+
+
+def test_primary_and_primitive_counts_match_formulas():
+    for m in range(1, 1000, 2):
+        assert count_primary_enum(m) == sigma(m), m
+        assert count_primitive_enum(m) == q_formula(m), m
 
 
 def test_the_single_primary_of_norm_1_is_one():
@@ -220,6 +264,30 @@ def test_integral_counts_match_oracle():
 def test_enumeration_is_sorted_and_duplicate_free():
     sols = enumerate_norm_solutions(9)
     assert list(sols) == sorted(set(sols), key=lambda e: e.coords)
+
+
+def test_shell_matches_reference():
+    for n in range(1, 301):
+        reference = reference_norm_shell(n)
+        assert enumerate_norm_solutions(n) == reference, n
+        integral = tuple(e for e in reference if e.is_integral)
+        assert enumerate_norm_solutions(n, integral=True) == integral, n
+
+
+def test_primary_shell_matches_reference():
+    for n in range(1, 402, 2):
+        assert enumerate_norm_solutions(n, primary=True) == reference_primary(n), n
+
+
+def test_primary_primes_match_reference():
+    for p in filter(is_prime, range(3, 1000)):
+        primes = tuple(pi.element for pi in primary_primes_of_norm(p))
+        assert primes == reference_primary(p), p
+
+
+def test_primary_shell_rejects_even_norm():
+    with pytest.raises(ValueError, match="odd norm"):
+        enumerate_norm_solutions(12, primary=True)
 
 
 # -- unit filtrations used by the counting proofs --------------------------------
