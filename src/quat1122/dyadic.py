@@ -7,7 +7,10 @@ the decomposition e = (1+i)^r * (odd part).
 An odd element is *primary* when it is congruent to 1 or 1 + 2*v3 modulo
 the (two-sided) ideal generated by 2*(1+i).  Each odd element has exactly
 one primary associate per side; primary elements are the canonical
-representatives used throughout factorization and counting.
+representatives used throughout factorization and counting.  The class is
+read off the coordinates: e = 1 (mod 2) exactly when g1 is odd and g2, g3,
+g4 are even, and then e = 1 + 2h lies in class k of CANONICAL_RESIDUES_2_1PI
+when h = COSET_REPS_1PI[k] modulo (1+i).
 """
 
 from __future__ import annotations
@@ -49,17 +52,22 @@ def is_odd(e: OrderElement) -> bool:
     return e.norm() % 2 == 1
 
 
+def _index_1pi(g1: int, g2: int, g3: int, g4: int) -> int:
+    # Index into COSET_REPS_1PI of the class of (g1, g2, g3, g4) modulo (1+i).
+    return (g1 + g2 + g4) % 2 + 2 * ((g3 + g4) % 2)
+
+
+def _class_2_1pi(e: OrderElement) -> int | None:
+    """Index into CANONICAL_RESIDUES_2_1PI of e mod 2*(1+i); None unless e = 1 mod 2."""
+    g1, g2, g3, g4 = e.coords
+    if not g1 & 1 or (g2 | g3 | g4) & 1:
+        return None
+    return _index_1pi(g1 >> 1, g2 >> 1, g3 >> 1, g4 >> 1)
+
+
 def residue_mod_1pi(e: OrderElement) -> OrderElement:
     """The representative in {0, 1, v3, 1+v3} congruent to e modulo (1+i)."""
-    s1 = (e.g1 + e.g2 + e.g4) % 2
-    s2 = (e.g3 + e.g4) % 2
-    return COSET_REPS_1PI[s1 + 2 * s2]
-
-
-def _halve(e: OrderElement) -> OrderElement | None:
-    if any(g % 2 for g in e.coords):
-        return None
-    return OrderElement(e.g1 // 2, e.g2 // 2, e.g3 // 2, e.g4 // 2)
+    return COSET_REPS_1PI[_index_1pi(*e.coords)]
 
 
 def divide_by_1pi(e: OrderElement, side: Literal["left", "right"] = "right") -> OrderElement:
@@ -71,10 +79,10 @@ def divide_by_1pi(e: OrderElement, side: Literal["left", "right"] = "right") -> 
     if is_odd(e):
         raise ValueError(f"{e} has odd norm; not divisible by 1+i")
     product = e * ONE_MINUS_I if side == "right" else ONE_MINUS_I * e
-    h = _halve(product)
-    if h is None:
+    g1, g2, g3, g4 = product.coords
+    if (g1 | g2 | g3 | g4) & 1:
         raise ArithmeticError(f"even-norm element {e} not divisible by 1+i")
-    return h
+    return OrderElement(g1 >> 1, g2 >> 1, g3 >> 1, g4 >> 1)
 
 
 def valuation_1pi(e: OrderElement) -> tuple[int, OrderElement]:
@@ -100,13 +108,8 @@ def residue_mod_2(e: OrderElement) -> OrderElement:
 
 
 def divisible_by_2_1pi(e: OrderElement) -> bool:
-    """Does the ideal (2*(1+i)) contain e?  (Sidedness is irrelevant.)
-
-    Constructive: e/2 must be exact in coordinates, and the quotient must be
-    divisible by 1+i (even norm).
-    """
-    h = _halve(e)
-    return h is not None and not is_odd(h)
+    """Does the (two-sided) ideal (2*(1+i)) contain e, i.e. is e + 1 in the class of 1?"""
+    return _class_2_1pi(e + ONE) == 0
 
 
 def congruent_mod_2_1pi(a: OrderElement, b: OrderElement) -> bool:
@@ -115,10 +118,9 @@ def congruent_mod_2_1pi(a: OrderElement, b: OrderElement) -> bool:
 
 def primary_class(e: OrderElement) -> PrimaryClass:
     """Classify e modulo 2*(1+i) as 1, as 1 + 2*v3, or as neither."""
-    if divisible_by_2_1pi(e - ONE):
-        return PrimaryClass.ONE
-    if divisible_by_2_1pi(e - ONE_PLUS_2V3):
-        return PrimaryClass.ONE_PLUS_2V3
+    k = _class_2_1pi(e)  # the primary classes are 1 and 1 + 2*v3, at index 0 and 2
+    if k in (0, 2):
+        return PrimaryClass.ONE if k == 0 else PrimaryClass.ONE_PLUS_2V3
     return PrimaryClass.NOT_PRIMARY
 
 
@@ -143,7 +145,7 @@ def primary_associate(
         raise ValueError(f"{b} has even norm; no primary associate exists")
     u = residue_mod_2(b.conjugate())
     c = b * u if side == "right" else u * b
-    if _halve(c - ONE) is None:
+    if _class_2_1pi(c) is None:
         raise ArithmeticError(f"{b} times {u} ({side}) is not 1 mod 2")
     primary = is_primary(c)
     if primary == is_primary(-c):
@@ -167,7 +169,7 @@ def unit_congruences_mod2(b: OrderElement) -> tuple[OrderElement, OrderElement]:
 
     def pick(c):
         # c is the product with u; the product with -u is -c.
-        if _halve(c - ONE) is None:
+        if _class_2_1pi(c) is None:
             raise ArithmeticError(f"no unit congruence mod 2 for {b}")
         return min((u, c), (-u, -c), key=lambda uc: ((uc[1] - ONE).norm(), uc[0].coords))[0]
 
@@ -180,7 +182,5 @@ def residue_mod_2_1pi(e: OrderElement) -> OrderElement | None:
     Every element congruent to 1 mod 2 falls in exactly one of these four
     classes; anything else returns None.
     """
-    for rep in CANONICAL_RESIDUES_2_1PI:
-        if divisible_by_2_1pi(e - rep):
-            return rep
-    return None
+    k = _class_2_1pi(e)
+    return None if k is None else CANONICAL_RESIDUES_2_1PI[k]

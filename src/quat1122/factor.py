@@ -29,7 +29,7 @@ from .dyadic import (
 from .euclid import gcd as quat_gcd
 from .intarith import factorize, is_prime
 from .modm import is_primitive_to_m
-from .repcount import enumerate_norm_solutions
+from .repcount import ENUMERATION_BOUND, enumerate_norm_solutions
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,7 +182,8 @@ def primary_primes_of_norm(p: int) -> tuple[PrimaryPrime, ...]:
             "no primary primes of norm 2: the norm-2 primes are the 24 "
             "associates of 1+i, reported by norm2_primes()"
         )
-    if not is_prime(p):
+    # p above the enumeration bound is refused there, before any trial division.
+    if p <= ENUMERATION_BOUND and not is_prime(p):
         raise ValueError(f"{p} is not a rational prime")
     return tuple(
         PrimaryPrime(e, p) for e in enumerate_norm_solutions(p, primary=True)

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from math import isqrt
 
+#: The largest n that factorize accepts: trial division of a prime near the
+#: bound takes about 2.3 s.
+FACTOR_BOUND = 10**15
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -19,9 +23,11 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: exponent} of n >= 1 by trial division."""
+    """Prime factorization {p: exponent} of 1 <= n <= FACTOR_BOUND by trial division."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
+    if n > FACTOR_BOUND:
+        raise ValueError(f"n = {n} exceeds the factoring bound {FACTOR_BOUND}")
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:

@@ -26,12 +26,12 @@ from math import isqrt
 
 from .core import OrderElement
 from .dyadic import is_primary
-from .intarith import factorize, sigma
+from .intarith import FACTOR_BOUND, factorize, sigma
 
-COUNT_BOUND = 10**15  # sigma(m) trial-divides: about 2 s for the worst m
+COUNT_BOUND = FACTOR_BOUND  # sigma(m) trial-divides: about 2 s for the worst m
 ORACLE_BOUND = 10**6
 TABLE_BOUND = 5 * 10**4  # rep_counts_upto at the bound takes about 10 s
-ENUMERATION_BOUND = 2 * 10**4  # the whole shell at the bound takes about 2 s, primes -p 0.7 s
+ENUMERATION_BOUND = 2 * 10**4  # the whole shell at the bound takes about 2 s, primes -p 0.5 s
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,7 +211,7 @@ def enumerate_norm_solutions(
     integral=True and an eighth with primary=True; building the elements
     costs about 3 us each.  On one core of a Xeon VM with CPython 3.11 the
     default shell at n = 5000 takes 0.08 s (18,744 elements), at n = 19997
-    1.7 s (479,952), and primary=True at n = 19997 0.5 s.
+    1.7 s (479,952), and primary=True at n = 19997 0.2 s.
 
     Raises:
         ValueError: n < 1, n > ENUMERATION_BOUND, or primary=True with an

@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from quat1122 import OrderElement, parse
 from quat1122.cli import main
 
@@ -47,12 +49,27 @@ def test_count_inconsistent_restriction(capsys):
     assert code == 1
 
 
-def test_count_large_n_rejected_fast(capsys):
+#: Inputs past a stated bound, each refused up front: (argv, bound in stderr).
+LARGE_INPUTS = {
+    "count": (["count", "100000000000000000039"], "bound 1000000000000000"),
+    "tau": (["tau", "-m", "99999999977", "[0,1,0,0]"], "bound 10000000"),
+    "primes": (["primes", "-p", "999983"], "bound 20000"),
+    "verify": (["verify", "--max-n", "1000000000"], "bound 50000"),
+    # a prime far above the bound: refused before any trial division
+    "primes-huge": (["primes", "-p", "1000000000000000003"], "bound 20000"),
+    # norm near 1e58: refused before factoring it
+    "factor": (["factor", "[100000000000000000000000000001,0,0,1]"],
+               "bound 1000000000000000"),
+}
+
+
+@pytest.mark.parametrize("argv, bound", LARGE_INPUTS.values(), ids=LARGE_INPUTS.keys())
+def test_large_input_rejected_fast(capsys, argv, bound):
     start = time.monotonic()
-    code, _, err = run(capsys, "count", "100000000000000000039")
+    code, _, err = run(capsys, *argv)
     assert time.monotonic() - start < 1.0
     assert code == 1
-    assert "bound 1000000000000000" in err
+    assert bound in err
 
 
 def test_factor_json_round_trips(capsys):
@@ -111,14 +128,6 @@ def test_tau_even_modulus(capsys):
     assert code == 1
 
 
-def test_tau_large_modulus_rejected_fast(capsys):
-    start = time.monotonic()
-    code, _, err = run(capsys, "tau", "-m", "99999999977", "[0,1,0,0]")
-    assert time.monotonic() - start < 1.0
-    assert code == 1
-    assert "bound 10000000" in err
-
-
 def test_primary(capsys):
     code, blob, _ = run_json(capsys, "primary", "[0,1,0,0]", "--json")
     assert code == 0
@@ -144,14 +153,6 @@ def test_primes_p2_is_an_error(capsys):
     assert "1+i" in err
 
 
-def test_primes_large_p_rejected_fast(capsys):
-    start = time.monotonic()
-    code, _, err = run(capsys, "primes", "-p", "999983")
-    assert time.monotonic() - start < 1.0
-    assert code == 1
-    assert "bound 20000" in err
-
-
 def test_primes_near_the_bound(capsys):
     start = time.monotonic()
     code, blob, _ = run_json(capsys, "primes", "-p", "19997", "--json")
@@ -168,14 +169,6 @@ def test_verify_full_sweep_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "5000")
     assert code == 0
     assert "PASSED" in out
-
-
-def test_verify_large_max_n_rejected_fast(capsys):
-    start = time.monotonic()
-    code, _, err = run(capsys, "verify", "--max-n", "1000000000")
-    assert time.monotonic() - start < 1.0
-    assert code == 1
-    assert "bound 50000" in err
 
 
 def test_verify_small_sweep(capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import dyadic_reference as ref
 from quat1122 import (
     OrderElement,
     PrimaryClass,
@@ -234,6 +235,32 @@ def test_divisibility_by_2_1pi():
     assert divisible_by_2_1pi(2 * ONE_PLUS_I)
 
 
+def classifier_inputs():
+    # every element of [-4, 4]^4, then 10^5 seeded large ones, half 1 mod 2
+    yield from box(4)
+    rng = random.Random(34)
+    big = 10**30
+    for k in range(10**5):
+        g = [rng.randint(-big, big) for _ in range(4)]
+        if k % 2:
+            g = [2 * g[0] + 1, 2 * g[1], 2 * g[2], 2 * g[3]]
+        yield OrderElement(*g)
+
+
+def test_classifier_matches_reference():
+    prev = ONE
+    for e in classifier_inputs():
+        rep = ref.residue(e)
+        assert residue_mod_2_1pi(e) == rep, e
+        assert primary_class(e) is ref.primary_class(e), e
+        assert is_primary(e) == ref.is_primary(e), e
+        assert divisible_by_2_1pi(e) == ref.in_ideal(e), e
+        # the previous input, and a congruent partner whenever e has a class
+        for other in (prev, rep or ONE):
+            assert congruent_mod_2_1pi(e, other) == ref.in_ideal(e - other), e
+        prev = e
+
+
 # -- primary associates ------------------------------------------------------
 
 def test_primary_associate_examples():
@@ -271,9 +298,9 @@ def test_exactly_one_associate_is_primary():
 
 
 def scan_primary_associate(b, side):
-    # reference: try all 24 units
+    # reference: try all 24 units, classified by the definition
     hits = [(u, b * u if side == "right" else u * b) for u in units()]
-    hits = [(u, c) for u, c in hits if is_primary(c)]
+    hits = [(u, c) for u, c in hits if ref.is_primary(c)]
     assert len(hits) == 1
     return hits[0]
 

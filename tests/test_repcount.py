@@ -2,6 +2,7 @@ from math import isqrt
 
 import pytest
 
+import dyadic_reference as ref
 from quat1122 import (
     OrderElement,
     count_primary_enum,
@@ -17,8 +18,8 @@ from quat1122 import (
     units,
 )
 from quat1122.core import I, ONE, ONE_PLUS_I
-from quat1122.intarith import is_prime
-from quat1122.repcount import ENUMERATION_BOUND, ORACLE_BOUND
+from quat1122.intarith import FACTOR_BOUND, factorize, is_prime
+from quat1122.repcount import COUNT_BOUND, ENUMERATION_BOUND, ORACLE_BOUND
 
 #: Which signed (x, y, z, w) each restriction counts, stated directly.
 ADMITS = {
@@ -78,10 +79,11 @@ def reference_primary(n):
     """The primary elements of norm n, taken from the reference shell.
 
     A primary element is 1 or 1 + 2*v3 modulo 2(1+i), hence 1 mod 2; the
-    cheap coordinate parity test only skips elements is_primary rejects.
+    cheap coordinate parity test only skips elements the definitional
+    classifier rejects.
     """
     return tuple(e for e in reference_norm_shell(n)
-                 if [g % 2 for g in e.coords] == [1, 0, 0, 0] and is_primary(e))
+                 if [g % 2 for g in e.coords] == [1, 0, 0, 0] and ref.is_primary(e))
 
 
 def admitted_restrictions(n):
@@ -156,6 +158,13 @@ def test_oracle_bound():
         rep_count_oracle(ORACLE_BOUND + 1)
     with pytest.raises(ValueError, match=f"enumeration bound {ENUMERATION_BOUND}$"):
         enumerate_norm_solutions(ENUMERATION_BOUND + 1)
+
+
+def test_factor_bound():
+    assert COUNT_BOUND == FACTOR_BOUND
+    assert factorize(FACTOR_BOUND) == {2: 15, 5: 15}
+    with pytest.raises(ValueError, match=f"factoring bound {FACTOR_BOUND}$"):
+        factorize(FACTOR_BOUND + 1)
 
 
 def test_oracle_matches_reference_small():
