@@ -257,7 +257,8 @@ def units() -> tuple[OrderElement, ...]:
         table.append(-u)
     table.sort(key=lambda u: u.coords)
     out = tuple(table)
-    assert len(set(out)) == 24 and all(u.is_unit() for u in out)
+    if len(set(out)) != 24 or not all(u.is_unit() for u in out):
+        raise ArithmeticError("the unit table does not hold 24 distinct units")
     return out
 
 

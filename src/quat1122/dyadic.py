@@ -35,7 +35,8 @@ COSET_REPS_MOD2 = tuple(OrderElement(*g) for g in UNITS_MOD_SIGN) + (
 _MOD2_LOOKUP = {
     tuple(g % 2 for g in rep.coords): rep for rep in COSET_REPS_MOD2
 }
-assert len(_MOD2_LOOKUP) == 16
+if len(_MOD2_LOOKUP) != 16:
+    raise ArithmeticError("the residue system mod 2 does not hold 16 classes")
 
 #: The four classes of elements congruent to 1 mod 2, taken mod 2*(1+i).
 CANONICAL_RESIDUES_2_1PI = (ONE, -ONE, ONE_PLUS_2V3, -ONE_PLUS_2V3)

@@ -2,9 +2,11 @@
 
 The order admits division with remainder on either side: for b != 0 there
 is a quotient q with norm(a - q*b) < norm(b) (respectively norm(a - b*q)
-< norm(b)).  The quotient is found by rounding the exact quotient
-a * conj(b) / norm(b) coordinatewise and searching the 81 neighbouring
-lattice points; success of that search is asserted at runtime.
+< norm(b)).  q is the lattice point nearest to a * conj(b) / norm(b): in
+half coordinates the order is the union of four cosets of 2Z^4 and the norm
+is diagonal, so rounding within each coset and keeping the best of the four
+(Conway and Sloane's union-of-cosets decoder) finds it.  norm(r) < norm(b)
+is checked at runtime.
 
 GCDs carry Bezout data.  For the right GCD d of (a, b):
 
@@ -15,17 +17,16 @@ and symmetrically for the left GCD (d = a*x + b*y, d a left divisor).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Literal
 
-from .core import ONE, ZERO, OrderElement, units
+from .core import ONE, ZERO, HalfCoords, OrderElement, units
 from .dyadic import primary_associate
-from .intarith import round_half_even
 
 Side = Literal["left", "right"]
 
-_OFFSETS = tuple(itertools.product((-1, 0, 1), repeat=4))
+#: Half-coordinate parities of the four cosets of 2Z^4 that make up the order.
+_COSETS = ((0, 0, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1), (0, 0, 1, 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,16 +48,29 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+def _coset_candidate(H: HalfCoords, nb: int, coset: tuple[int, ...]):
+    # (4*nb*norm(r), q.coords) for the quotient q of the coset nearest to H/nb.
+    # x = p + 2*ceil((h/nb - p - 1)/2) is the integer of parity p nearest to
+    # h/nb, the lower one on a tie.  No tie is lost: were the least-coordinate
+    # quotient of least norm(r) an upper tie in A or B, a step of -2 there, and
+    # in C or D (its A, B are then exact) a step of (-1,-1,-1,0) or
+    # (-1,-1,0,-1), would keep norm(r) and lower q.coords.
+    X = [p - 2 * ((p * nb + nb - h) // (2 * nb)) for h, p in zip(H, coset)]
+    A, B, C, D = [x * nb - h for x, h in zip(X, H)]
+    return A * A + B * B + 2 * (C * C + D * D), OrderElement.from_half(*X).coords
+
+
 def div_rem(a: OrderElement, b: OrderElement, side: Side = "right") -> DivisionResult:
     """Divide with remainder: a = q*b + r ("right") or a = b*q + r ("left").
 
-    Deterministic: among the 81 candidate quotients around the rounded exact
-    quotient, the one minimizing norm(r) wins, ties broken by the smallest
-    quotient coordinates.
+    Deterministic: each of the four cosets offers its point nearest to
+    a*conj(b)/norm(b) (right) or conj(b)*a/norm(b) (left), each half
+    coordinate rounded to the coset's parity, an exact tie downwards.  The
+    least norm(r) wins, then the smallest quotient coordinates.
 
     Raises:
         ZeroDivisionError: b == 0.
-        ArithmeticError: no candidate beats norm(b) (cannot happen in a
+        ArithmeticError: norm(r) >= norm(b) (cannot happen in a
             norm-Euclidean ring; kept as a runtime check).
     """
     _check_side(side)
@@ -64,22 +78,13 @@ def div_rem(a: OrderElement, b: OrderElement, side: Side = "right") -> DivisionR
     if nb == 0:
         raise ZeroDivisionError("division by zero quaternion")
     numerator = a * b.conjugate() if side == "right" else b.conjugate() * a
-    base = tuple(round_half_even(g, nb) for g in numerator.coords)
-
-    best: tuple[int, tuple[int, int, int, int]] | None = None
-    best_q = best_r = ZERO
-    for off in _OFFSETS:
-        q = OrderElement(base[0] + off[0], base[1] + off[1], base[2] + off[2], base[3] + off[3])
-        r = a - (q * b if side == "right" else b * q)
-        key = (r.norm(), q.coords)
-        if best is None or key < best:
-            best, best_q, best_r = key, q, r
-    if best is None or best[0] >= nb:
-        raise ArithmeticError(
-            f"Euclidean quotient search failed for {a} / {b} ({side}): "
-            f"best remainder norm {best and best[0]} >= {nb}"
-        )
-    return DivisionResult(best_q, best_r, side)
+    H = numerator.half_coords
+    _, coords = min(_coset_candidate(H, nb, coset) for coset in _COSETS)
+    q = OrderElement(*coords)
+    r = a - (q * b if side == "right" else b * q)
+    if r.norm() >= nb:
+        raise ArithmeticError(f"remainder norm {r.norm()} >= {nb} in {a} / {b} ({side})")
+    return DivisionResult(q, r, side)
 
 
 def _normalize(d: OrderElement, x: OrderElement, y: OrderElement, side: Side):
@@ -117,10 +122,11 @@ def gcd(a: OrderElement, b: OrderElement, side: Side = "right") -> GcdResult:
     r0, x0, y0 = a, ONE, ZERO
     r1, x1, y1 = b, ZERO, ONE
     while not r1.is_zero:
-        q = div_rem(r0, r1, side).quotient
+        step = div_rem(r0, r1, side)
+        q, r = step.quotient, step.remainder
         if side == "right":
-            r0, x0, y0, r1, x1, y1 = r1, x1, y1, r0 - q * r1, x0 - q * x1, y0 - q * y1
+            r0, x0, y0, r1, x1, y1 = r1, x1, y1, r, x0 - q * x1, y0 - q * y1
         else:
-            r0, x0, y0, r1, x1, y1 = r1, x1, y1, r0 - r1 * q, x0 - x1 * q, y0 - y1 * q
+            r0, x0, y0, r1, x1, y1 = r1, x1, y1, r, x0 - x1 * q, y0 - y1 * q
     d, x, y = _normalize(r0, x0, y0, side)
     return GcdResult(d, (x, y), side)

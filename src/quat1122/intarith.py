@@ -54,11 +54,3 @@ def sigma(m: int) -> int:
         total *= (p ** (e + 1) - 1) // (p - 1)
     return total
 
-
-def round_half_even(num: int, den: int) -> int:
-    """Nearest integer to num/den with ties going to the even integer; den > 0."""
-    q, r = divmod(num, den)
-    twice = 2 * r
-    if twice > den or (twice == den and q % 2):
-        return q + 1
-    return q

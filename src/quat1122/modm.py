@@ -41,7 +41,7 @@ class ResidueElement:
     def __post_init__(self):
         _check_odd_modulus(self.m)
         for q in (self.q1, self.q2, self.q3, self.q4):
-            if not 0 <= q < max(self.m, 1):
+            if not 0 <= q < self.m:
                 raise ValueError(f"coordinate {q} not reduced mod {self.m}")
 
     @classmethod
@@ -133,7 +133,7 @@ class RSParams:
 
     def __post_init__(self):
         _check_odd_modulus(self.m)
-        if not (0 <= self.r < max(self.m, 1) and 0 <= self.s < max(self.m, 1)):
+        if not (0 <= self.r < self.m and 0 <= self.s < self.m):
             raise ValueError(f"(r, s) = ({self.r}, {self.s}) not reduced mod {self.m}")
         inv2 = pow(2, -1, self.m)
         if (inv2 + self.r * self.r + self.s * self.s) % self.m:
@@ -214,7 +214,7 @@ class MatrixModM:
     def __post_init__(self):
         _check_odd_modulus(self.m)
         for entry in (self.a, self.b, self.c, self.d):
-            if not 0 <= entry < max(self.m, 1):
+            if not 0 <= entry < self.m:
                 raise ValueError(f"entry {entry} not reduced mod {self.m}")
 
     @classmethod

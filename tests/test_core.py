@@ -168,6 +168,15 @@ def test_units_match_table():
     assert {-u for u in units()} == set(units())
 
 
+def test_units_check_is_a_runtime_error(monkeypatch):
+    # The table check raises ArithmeticError (exit 3), not an assert that -O strips.
+    import quat1122.core as core
+
+    monkeypatch.setattr(core, "UNITS_MOD_SIGN", core.UNITS_MOD_SIGN[:-1] + ((2, 0, 0, 0),))
+    with pytest.raises(ArithmeticError):
+        units.__wrapped__()
+
+
 def test_unit_search_exhaustive():
     # independent route: scan all valid half-coordinate tuples in [-2, 2]^4
     found = set()

@@ -1,10 +1,13 @@
+import itertools
 import random
 
 import pytest
 
+import euclid_reference
 from quat1122 import OrderElement, div_rem, gcd
 from quat1122.core import ONE, ONE_PLUS_I, ZERO, V3
 from quat1122.dyadic import is_odd, is_primary
+from quat1122.euclid import _normalize
 from quat1122.factor import primary_primes_of_norm
 
 
@@ -67,6 +70,37 @@ def test_div_deterministic():
         first = div_rem(a, b, "right")
         second = div_rem(a, b, "right")
         assert first.quotient == second.quotient
+
+
+def test_div_rem_matches_reference_search():
+    # Differential check against the 81-candidate search the decoder replaced.
+    # The box is tie-heavy: 2,276 of its 3,750 divisions below have more than
+    # one nearest quotient.  The random pairs reach large coordinates.
+    def check(a, b, side):
+        res = div_rem(a, b, side)
+        expected = euclid_reference.div_rem(a, b, side)
+        assert (res.quotient, res.remainder) == expected, (a, b, side)
+
+    box = [OrderElement(*g) for g in itertools.product(range(-2, 3), repeat=4)]
+    for b in [b for b in box if not b.is_zero][::208]:
+        for a in box:
+            check(a, b, "right")
+            check(a, b, "left")
+    rng = random.Random(17)
+    for bound in (10, 10**6, 10**30):
+        for k in range(3000):
+            a, b = rand_elem(rng, -bound, bound), rand_nonzero(rng, -bound, bound)
+            check(a, b, ("right", "left")[k % 2])
+
+
+def test_gcd_matches_reference_loop():
+    rng = random.Random(18)
+    for k in range(500):
+        a, b = rand_nonzero(rng, -20, 20), rand_nonzero(rng, -20, 20)
+        side = ("right", "left")[k % 2]
+        res = gcd(a, b, side)
+        expected = _normalize(*euclid_reference.gcd_loop(a, b, side), side)
+        assert (res.gcd, *res.cofactors) == expected, (a, b, side)
 
 
 def test_div_by_zero():
