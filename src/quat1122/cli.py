@@ -41,7 +41,11 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
 
 
 def _quat(text: str) -> OrderElement:
-    return parse(text)
+    # argparse reports only an ArgumentTypeError's message, not a ValueError's.
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _run_count(args) -> int:

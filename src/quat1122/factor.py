@@ -19,13 +19,7 @@ from dataclasses import dataclass
 from math import gcd as int_gcd
 
 from .core import ONE, ONE_PLUS_I, OrderElement
-from .dyadic import (
-    PrimaryClass,
-    is_primary,
-    primary_associate,
-    primary_class,
-    valuation_1pi,
-)
+from .dyadic import is_primary, primary_associate, valuation_1pi
 from .euclid import gcd as quat_gcd
 from .intarith import factorize, is_prime
 from .modm import is_primitive_to_m
@@ -105,57 +99,27 @@ def norm2_primes() -> tuple[OrderElement, ...]:
     return enumerate_norm_solutions(2)
 
 
-def _check_lift_preconditions(f: OrderElement, p: int) -> None:
+def primary_prime_from(f: OrderElement, p: int) -> PrimaryPrime:
+    """The primary prime of norm p attached to f: the right GCD of f with p.
+
+    For f primitive to p with p | norm(f), tau sends f mod p to a rank-1
+    matrix over Z/p, so the left ideal Of + Op has index p^2 even when
+    p^2 | norm(f): no lift of f is needed, the GCD has norm p, and it depends
+    only on f mod p.  Elements f, q*f (q invertible mod p) give the same prime.
+
+    Raises ValueError when p is not an odd prime, f is not primitive to p or
+    p does not divide norm(f), and ArithmeticError when the GCD's norm is not p.
+    """
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd rational prime")
     if not is_primitive_to_m(f, p):
         raise ValueError(f"{f} is not primitive to {p}")
     if f.norm() % p:
         raise ValueError(f"norm {f.norm()} of {f} is not divisible by {p}")
-
-
-def lift_nondegenerate(f: OrderElement, p: int) -> OrderElement:
-    """A representative of f mod p whose norm is divisible by p but not p^2.
-
-    If norm(f) already has p-valuation 1 the input is returned unchanged.
-    Otherwise one coordinate is shifted by a multiple of p: the norm changes
-    by p times a linear form in the shift, and primitivity guarantees some
-    coefficient of that form is invertible mod p.
-    """
-    _check_lift_preconditions(f, p)
-    if f.norm() % (p * p):
-        return f
-    f1, f2, f3, f4 = f.coords
-    gradient = (
-        2 * f1 + f3 + f4,
-        2 * f2 + f3 + f4,
-        f1 + f2 + 2 * f3 + f4,
-        f1 + f2 + f3 + 2 * f4,
-    )
-    for index, coeff in enumerate(gradient):
-        if coeff % p:
-            t = pow(coeff, -1, p)
-            shift = [0, 0, 0, 0]
-            shift[index] = p * t
-            lifted = f + OrderElement(*shift)
-            if lifted.norm() % p == 0 and lifted.norm() % (p * p):
-                return lifted
-            raise ArithmeticError(f"lift of {f} at p={p} missed its target valuation")
-    raise ArithmeticError(f"no invertible gradient coefficient for {f} mod {p}")
-
-
-def primary_prime_from(f: OrderElement, p: int) -> PrimaryPrime:
-    """The primary prime of norm p canonically attached to f.
-
-    Computed as the right GCD of a nondegenerate lift of f with p; the result
-    does not depend on the choice of lift, and elements f, q*f (q invertible
-    mod p) map to the same prime.
-    """
-    lifted = lift_nondegenerate(f, p)
-    g = quat_gcd(lifted, OrderElement(p, 0, 0, 0), side="right").gcd
+    g = quat_gcd(f, OrderElement(p, 0, 0, 0), side="right").gcd
     if g.norm() != p:
         raise ArithmeticError(
-            f"right gcd of lift and {p} has norm {g.norm()}, expected {p}"
+            f"right gcd of {f} and {p} has norm {g.norm()}, expected {p}"
         )
     return PrimaryPrime(g, p)
 
@@ -163,16 +127,15 @@ def primary_prime_from(f: OrderElement, p: int) -> PrimaryPrime:
 def p_conjugate(pi: PrimaryPrime) -> PrimaryPrime:
     """The signed conjugate that stays primary; an involution.
 
-    Equals conjugate(pi) when pi = 1 mod 2(1+i) (then p = 1 mod 4) and
-    -conjugate(pi) otherwise (then p = 3 mod 4); the product of pi with its
+    Equals conjugate(pi) when p = 1 mod 4 (then pi = 1 mod 2(1+i)) and
+    -conjugate(pi) when p = 3 mod 4 (then pi = 1+2v3 mod 2(1+i)): the norm
+    mod 4 is constant on each class.  The product of pi with its
     p-conjugate is +p respectively -p.
     """
     if pi.p == 2:
         raise ValueError("p-conjugation is defined for odd primary primes")
-    cls = primary_class(pi.element)
-    if cls is PrimaryClass.ONE:
-        return PrimaryPrime(pi.element.conjugate(), pi.p)
-    return PrimaryPrime(-pi.element.conjugate(), pi.p)
+    sign = 1 if pi.p % 4 == 1 else -1
+    return PrimaryPrime(sign * pi.element.conjugate(), pi.p)
 
 
 def primary_primes_of_norm(p: int) -> tuple[PrimaryPrime, ...]:
@@ -254,13 +217,11 @@ def full_factor(x: OrderElement) -> Factorization:
     w, c = primary_associate(b, "left")
     unit = w.conjugate()
     content = int_gcd(*c.coords)
-    d = OrderElement(*(g // content for g in c.coords))
-    if is_primary(d):
-        sign, primitive_part = 1, d
-    elif is_primary(-d):
-        sign, primitive_part = -1, -d
-    else:
-        raise ArithmeticError(f"neither +/-{d} is primary while factoring {x}")
+    # content is odd and 4 lies in 2(1+i)O, so c = content*d = +/-d there.
+    sign = 1 if content % 4 == 1 else -1
+    primitive_part = OrderElement(*(sign * g // content for g in c.coords))
+    if not is_primary(primitive_part):
+        raise ArithmeticError(f"{primitive_part} is not primary while factoring {x}")
     prime_order = sorted(
         p for p, e in factorize(primitive_part.norm()).items() for _ in range(e)
     )

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 from math import isqrt
 
-#: The largest n that factorize accepts: trial division of a prime near the
-#: bound takes about 2.3 s.
+#: The largest n that is_prime and factorize accept: trial division of a
+#: prime near the bound takes about 2.3 s.
 FACTOR_BOUND = 10**15
 
 
 def is_prime(n: int) -> bool:
+    """Primality of n <= FACTOR_BOUND by trial division."""
+    if n > FACTOR_BOUND:
+        raise ValueError(f"n = {n} exceeds the primality bound {FACTOR_BOUND}")
     if n < 2:
         return False
     if n < 4:

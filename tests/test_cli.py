@@ -89,8 +89,12 @@ def test_factor_half_form_input(capsys):
 
 
 def test_factor_malformed_quat(capsys):
-    code, _, err = run(capsys, "factor", "[1,2]")
-    assert code == 1
+    for text, reason in [("[1,2]", "basis form needs 4 coordinates"),
+                         ("(1+i)/2", "violate parity")]:
+        code, _, err = run(capsys, "factor", text)
+        assert code == 1
+        assert reason in err
+        assert "_quat" not in err
 
 
 def test_factor_zero(capsys):

@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from factor_reference import reference_primary_prime
 from quat1122 import (
     Factorization,
     OrderElement,
@@ -18,16 +20,9 @@ from quat1122 import (
     units,
 )
 from quat1122.core import I, ONE, ONE_PLUS_I, V3, ZERO
-from quat1122.factor import is_primitive, lift_nondegenerate
-from quat1122.modm import iter_residues
-
-
-def ordp(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+from quat1122.factor import is_primitive
+from quat1122.intarith import FACTOR_BOUND, is_prime
+from quat1122.modm import is_primitive_to_m, iter_residues
 
 
 def primitive_residue_reps(p):
@@ -45,6 +40,24 @@ def test_is_prime_quat():
     assert not is_prime_quat(ZERO)
 
 
+#: Public callers that test primality, each on a prime far above the bound.
+PRIMALITY_CALLERS = {
+    "is_prime": is_prime,
+    "is_prime_quat": lambda n: is_prime_quat(OrderElement(n, 0, 0, 0)),
+    "PrimaryPrime": lambda n: PrimaryPrime(ONE, n),
+    "primary_prime_from": lambda n: primary_prime_from(ONE, n),
+}
+
+
+@pytest.mark.parametrize("call", PRIMALITY_CALLERS.values(), ids=PRIMALITY_CALLERS.keys())
+def test_primality_bound_refused_fast(call):
+    assert not is_prime(FACTOR_BOUND)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"bound {FACTOR_BOUND}$"):
+        call(10**20 + 39)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_norm2_primes_are_the_associates_of_1pi():
     primes = norm2_primes()
     assert len(primes) == 24
@@ -52,31 +65,48 @@ def test_norm2_primes_are_the_associates_of_1pi():
     assert set(primes) == {u * ONE_PLUS_I for u in units()}
 
 
-# -- the nondegenerate lift --------------------------------------------------
-
-def test_lift_preserves_residue_and_fixes_valuation():
-    p = 3
-    for f in primitive_residue_reps(p):
-        lifted = lift_nondegenerate(f, p)
-        assert ordp(lifted.norm(), p) == 1
-        assert all((a - b) % p == 0 for a, b in zip(lifted.coords, f.coords))
-
-
-def test_lift_returns_input_when_already_good():
-    pi = primary_primes_of_norm(5)[0].element
-    assert lift_nondegenerate(pi, 5) == pi
-
+# -- the gcd-to-primary-prime map ---------------------------------------------
 
 def test_lift_rejects_bad_input():
-    with pytest.raises(ValueError):
-        lift_nondegenerate(3 * V3, 3)  # not primitive to 3
-    with pytest.raises(ValueError):
-        lift_nondegenerate(ONE, 3)  # norm not divisible by 3
-    with pytest.raises(ValueError):
-        lift_nondegenerate(ONE_PLUS_I, 2)  # p must be odd
+    with pytest.raises(ValueError, match="not primitive"):
+        primary_prime_from(3 * V3, 3)
+    with pytest.raises(ValueError, match="not divisible"):
+        primary_prime_from(ONE, 3)
+    with pytest.raises(ValueError, match="odd rational prime"):
+        primary_prime_from(ONE_PLUS_I, 2)
 
 
-# -- the gcd-to-primary-prime map ---------------------------------------------
+def test_prime_from_matches_reference_lift_on_every_residue():
+    for p in (3, 5, 7):
+        for f in primitive_residue_reps(p):
+            assert primary_prime_from(f, p) == PrimaryPrime(reference_primary_prime(f, p), p)
+
+
+def test_prime_from_matches_reference_lift_seeded():
+    # f = r*pi + p*s has p | norm(f); f = r*rho*pi + p^2*s has p^2 | norm(f),
+    # the case the reference lift moves away from.  Coordinates up to 5p^2.
+    rng = random.Random(55)
+    odd_primes = [p for p in range(3, 200) if is_prime(p)]
+    primes_of = {p: primary_primes_of_norm(p) for p in odd_primes}
+    checked = deep = 0
+    while checked < 5000:
+        p = rng.choice(odd_primes)
+        pi = rng.choice(primes_of[p]).element
+        r = OrderElement(*(rng.randint(-p, p) for _ in range(4)))
+        if rng.random() < 0.25:
+            f, step = r * rng.choice(primes_of[p]).element * pi, p * p
+        else:
+            f, step = r * pi, p
+        spread = 5 * p * p // step - 1
+        f = OrderElement(*((g + step // 2) % step - step // 2
+                           + step * rng.randint(-spread, spread) for g in f.coords))
+        if not is_primitive_to_m(f, p):
+            continue
+        assert max(map(abs, f.coords)) <= 5 * p * p
+        assert primary_prime_from(f, p) == PrimaryPrime(reference_primary_prime(f, p), p)
+        checked += 1
+        deep += f.norm() % (p * p) == 0
+    assert deep >= 300
 
 def test_prime_from_reproduces_primary_primes():
     for p in (3, 5, 7):
