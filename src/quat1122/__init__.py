@@ -9,123 +9,80 @@ The package is layered bottom-up:
 - ``factor``:   primary primes and unique factorization
 - ``repcount``: representation counts with brute-force oracles
 - ``cli``:      the ``quat1122`` command
+
+Importing the package loads none of them: each public name below is looked
+up in its layer on every access, and the layer is imported the first time.
 """
 
-from .core import (
-    HalfCoords,
-    OrderElement,
-    format_half,
-    parse,
-    unit_inverse,
-    units,
-)
-from .dyadic import (
-    PrimaryClass,
-    divide_by_1pi,
-    is_odd,
-    is_primary,
-    primary_associate,
-    primary_class,
-    residue_mod_1pi,
-    residue_mod_2,
-    residue_mod_2_1pi,
-    unit_congruences_mod2,
-    valuation_1pi,
-)
-from .euclid import DivisionResult, GcdResult, div_rem, gcd
-from .factor import (
-    Factorization,
-    PrimaryPrime,
-    factor_primitive,
-    full_factor,
-    is_prime_quat,
-    norm2_primes,
-    p_conjugate,
-    primary_prime_from,
-    primary_primes_of_norm,
-)
-from .intarith import sigma
-from .modm import (
-    MatrixModM,
-    ResidueElement,
-    RSParams,
-    XiBasis,
-    count_annihilator_enum,
-    count_norm1,
-    count_norm1_enum,
-    count_psi,
-    count_psi_enum,
-    is_primitive_to_m,
-    reduce_mod_m,
-    solve_rs,
-    tau,
-    tau_inv,
-    xi_basis,
-)
-from .repcount import (
-    CountResult,
-    count_primary_enum,
-    count_primitive_enum,
-    enumerate_norm_solutions,
-    q_formula,
-    rep_count_formula,
-    rep_count_oracle,
-    rep_counts_upto,
-)
+from importlib import import_module
 
-__all__ = [
-    "CountResult",
-    "DivisionResult",
-    "Factorization",
-    "GcdResult",
-    "HalfCoords",
-    "MatrixModM",
-    "OrderElement",
-    "PrimaryClass",
-    "PrimaryPrime",
-    "RSParams",
-    "ResidueElement",
-    "XiBasis",
-    "count_annihilator_enum",
-    "count_norm1",
-    "count_norm1_enum",
-    "count_primary_enum",
-    "count_primitive_enum",
-    "count_psi",
-    "count_psi_enum",
-    "div_rem",
-    "divide_by_1pi",
-    "enumerate_norm_solutions",
-    "factor_primitive",
-    "format_half",
-    "full_factor",
-    "gcd",
-    "is_odd",
-    "is_primary",
-    "is_prime_quat",
-    "is_primitive_to_m",
-    "norm2_primes",
-    "p_conjugate",
-    "parse",
-    "primary_associate",
-    "primary_class",
-    "primary_prime_from",
-    "primary_primes_of_norm",
-    "q_formula",
-    "reduce_mod_m",
-    "rep_count_formula",
-    "rep_count_oracle",
-    "rep_counts_upto",
-    "residue_mod_1pi",
-    "residue_mod_2",
-    "residue_mod_2_1pi",
-    "sigma",
-    "solve_rs",
-    "tau",
-    "tau_inv",
-    "unit_congruences_mod2",
-    "unit_inverse",
-    "units",
-    "valuation_1pi",
-    "xi_basis",
-]
+#: The public names, by the layer that defines them.
+_EXPORTS = {
+    "core": ("HalfCoords", "OrderElement", "format_half", "parse", "unit_inverse", "units"),
+    "dyadic": (
+        "PrimaryClass",
+        "divide_by_1pi",
+        "is_odd",
+        "is_primary",
+        "primary_associate",
+        "primary_class",
+        "residue_mod_1pi",
+        "residue_mod_2",
+        "residue_mod_2_1pi",
+        "unit_congruences_mod2",
+        "valuation_1pi",
+    ),
+    "euclid": ("DivisionResult", "GcdResult", "div_rem", "gcd"),
+    "factor": (
+        "Factorization",
+        "PrimaryPrime",
+        "factor_primitive",
+        "full_factor",
+        "is_prime_quat",
+        "norm2_primes",
+        "p_conjugate",
+        "primary_prime_from",
+        "primary_primes_of_norm",
+    ),
+    "intarith": ("sigma",),
+    "modm": (
+        "MatrixModM",
+        "ResidueElement",
+        "RSParams",
+        "XiBasis",
+        "count_annihilator_enum",
+        "count_norm1",
+        "count_norm1_enum",
+        "count_psi",
+        "count_psi_enum",
+        "is_primitive_to_m",
+        "reduce_mod_m",
+        "solve_rs",
+        "tau",
+        "tau_inv",
+        "xi_basis",
+    ),
+    "repcount": (
+        "CountResult",
+        "count_primary_enum",
+        "count_primitive_enum",
+        "enumerate_norm_solutions",
+        "q_formula",
+        "rep_count_formula",
+        "rep_count_oracle",
+        "rep_counts_upto",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

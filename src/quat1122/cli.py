@@ -6,6 +6,11 @@ invariant was violated.
 
 Quaternions are written in basis form "[g1,g2,g3,g4]" or half form
 "(A+Bi+Cr2j+Dr2k)/2"; JSON output encodes them as {"v": [g1,g2,g3,g4]}.
+
+Each verb imports the layers it runs when it runs, so a process loads only
+those: ``primary`` core and dyadic, ``gcd`` those and euclid, ``tau`` modm
+and intarith, ``count`` and ``verify`` the repcount stack, and ``factor``
+and ``primes`` every layer.
 """
 
 from __future__ import annotations
@@ -13,12 +18,32 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-from . import euclid, repcount
-from .core import OrderElement, parse
-from .dyadic import primary_associate
-from .factor import full_factor, primary_primes_of_norm
-from .modm import reduce_mod_m, solve_rs, tau
+if TYPE_CHECKING:
+    from .core import OrderElement
+
+#: Layer names this module offers as attributes, each read from its defining
+#: module (the value) on every access, so that a caller sees what that module
+#: holds now.
+_LAYER_ATTRS = {
+    "euclid": "euclid",
+    "repcount": "repcount",
+    "primary_associate": "dyadic",
+    "full_factor": "factor",
+    "primary_primes_of_norm": "factor",
+    "reduce_mod_m": "modm",
+    "solve_rs": "modm",
+    "tau": "modm",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAYER_ATTRS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_LAYER_ATTRS[name]}", __package__)
+    return module if name == _LAYER_ATTRS[name] else getattr(module, name)
 
 
 class _UsageError(Exception):
@@ -41,6 +66,8 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
 
 
 def _quat(text: str) -> OrderElement:
+    from .core import parse
+
     # argparse reports only an ArgumentTypeError's message, not a ValueError's.
     try:
         return parse(text)
@@ -49,6 +76,8 @@ def _quat(text: str) -> OrderElement:
 
 
 def _run_count(args) -> int:
+    from . import repcount
+
     n = args.n
     result = repcount.rep_count_formula(n, args.restriction)
     formula = result.formula_count
@@ -73,6 +102,8 @@ def _run_count(args) -> int:
 
 
 def _run_factor(args) -> int:
+    from .factor import full_factor
+
     fact = full_factor(args.quat)
     payload = fact.to_json()
     lines = [
@@ -89,6 +120,8 @@ def _run_factor(args) -> int:
 
 
 def _run_gcd(args) -> int:
+    from . import euclid
+
     result = euclid.gcd(args.a, args.b, args.side)
     x, y = result.cofactors
     payload = {"gcd": result.gcd.to_json(), "side": result.side,
@@ -102,6 +135,8 @@ def _run_gcd(args) -> int:
 
 
 def _run_tau(args) -> int:
+    from .modm import reduce_mod_m, solve_rs, tau
+
     params = solve_rs(args.m)
     residue = reduce_mod_m(args.quat, args.m)
     matrix = tau(residue, params)
@@ -119,6 +154,8 @@ def _run_tau(args) -> int:
 
 
 def _run_primary(args) -> int:
+    from .dyadic import primary_associate
+
     unit, primary = primary_associate(args.quat, args.side)
     payload = {"unit": unit.to_json(), "primary": primary.to_json(), "side": args.side}
     if args.side == "right":
@@ -130,6 +167,8 @@ def _run_primary(args) -> int:
 
 
 def _run_primes(args) -> int:
+    from .factor import primary_primes_of_norm
+
     primes = primary_primes_of_norm(args.p)
     payload = {"p": args.p, "count": len(primes),
                "primes": [pi.element.to_json() for pi in primes]}
@@ -140,6 +179,8 @@ def _run_primes(args) -> int:
 
 
 def _run_verify(args) -> int:
+    from . import repcount
+
     limit = args.max_n
     mismatches: list[dict] = []
     checked: dict[str, int] = {}

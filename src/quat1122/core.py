@@ -20,8 +20,8 @@ All values are immutable and every operation is a pure function.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
+from operator import attrgetter
 from typing import NamedTuple, Union
 
 OpOther = Union["OrderElement", int]
@@ -36,6 +36,67 @@ class HalfCoords(NamedTuple):
     D: int
 
 
+class _RecordType(type):
+    # Each name annotated in a record's class body becomes a field and a slot.
+    def __new__(mcls, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        namespace["__slots__"] = fields
+        cls = super().__new__(mcls, name, bases, namespace)
+        cls._fields = fields
+        if fields:
+            cls._key = staticmethod(attrgetter(*fields))
+        return cls
+
+
+class Record(metaclass=_RecordType):
+    """Base of the library's immutable values, in place of a frozen dataclass.
+
+    A direct subclass annotates its fields in its class body and may define
+    ``__post_init__`` to check them.  It is built from its fields by position
+    or keyword, compares and hashes field-wise (equal only to an instance of
+    its own class), has the dataclass repr, refuses assignment with an
+    ``AttributeError`` and pickles and copies by rebuilding itself.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            values = dict(zip(fields, args), **kwargs)
+            if len(values) != len(args) + len(kwargs) or values.keys() != set(fields):
+                raise TypeError(f"{type(self).__name__}() takes the fields "
+                                f"{', '.join(fields)} once each, got {args!r} and {kwargs!r}")
+            args = [values[name] for name in fields]
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
 def _check_half_parity(A: int, B: int, C: int, D: int) -> None:
     # Membership condition for the order: A = B and A = C + D (mod 2).
     if (A - B) % 2 or (A - C - D) % 2:
@@ -45,8 +106,7 @@ def _check_half_parity(A: int, B: int, C: int, D: int) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class OrderElement:
+class OrderElement(Record):
     """A quaternion g1*v1 + g2*v2 + g3*v3 + g4*v4 with integer coordinates.
 
     Any integer 4-tuple is a valid element (the basis is free).  Supports
@@ -58,6 +118,14 @@ class OrderElement:
     g2: int
     g3: int
     g4: int
+
+    def __init__(self, g1: int, g2: int, g3: int, g4: int):
+        # Spelled out: the most frequent construction, and cheaper than
+        # Record's generic one.
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
+        object.__setattr__(self, "g3", g3)
+        object.__setattr__(self, "g4", g4)
 
     # -- constructors ------------------------------------------------------
 
@@ -271,14 +339,17 @@ def unit_inverse(u: OrderElement) -> OrderElement:
 
 # -- text round trip --------------------------------------------------------
 
-_HALF_TERM = re.compile(r"([+-]?)(\d*)(r2j|r2k|i)?")
+_COORDINATE = re.compile(r"[+-]?[0-9]+")
+_HALF_TERM = re.compile(r"([+-]?)([0-9]*)(r2j|r2k|i)?")
 
 
 def parse(text: str) -> OrderElement:
     """Parse "[g1,g2,g3,g4]" (basis form) or "(A+Bi+Cr2j+Dr2k)/2" (half form).
 
-    The half form uses the tokens ``i``, ``r2j``, ``r2k`` for the units
-    i, sqrt(2)j, sqrt(2)k; terms may appear in any order and be omitted.
+    A basis coordinate is an optionally signed run of ASCII digits.  The
+    half form uses the tokens ``i``, ``r2j``, ``r2k`` for the units
+    i, sqrt(2)j, sqrt(2)k; terms may appear in any order and be omitted, and
+    every term after the first starts with ``+`` or ``-``.
 
     Raises:
         ValueError: malformed text, or a parity violation in the half form.
@@ -290,10 +361,9 @@ def parse(text: str) -> OrderElement:
         parts = s[1:-1].split(",")
         if len(parts) != 4:
             raise ValueError(f"basis form needs 4 coordinates: {text!r}")
-        try:
-            return OrderElement(*(int(p) for p in parts))
-        except ValueError:
-            raise ValueError(f"non-integer coordinate in {text!r}") from None
+        if not all(_COORDINATE.fullmatch(p) for p in parts):
+            raise ValueError(f"non-integer coordinate in {text!r}")
+        return OrderElement(*map(int, parts))
     if s.startswith("(") and s.endswith(")/2"):
         return OrderElement.from_half(*_parse_half_body(s[1:-3], text))
     raise ValueError(f"unrecognized quaternion syntax: {text!r}")
@@ -310,6 +380,8 @@ def _parse_half_body(body: str, original: str) -> tuple[int, int, int, int]:
         sign, digits, token = m.groups()
         if not digits and token is None:
             raise ValueError(f"dangling sign in {original!r}")
+        if seen_term and not sign:
+            raise ValueError(f"unsigned term near {body[pos:]!r} in {original!r}")
         value = int(digits) if digits else 1
         if sign == "-":
             value = -value

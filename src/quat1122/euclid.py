@@ -17,10 +17,9 @@ and symmetrically for the left GCD (d = a*x + b*y, d a left divisor).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal
 
-from .core import ONE, ZERO, HalfCoords, OrderElement, units
+from .core import ONE, ZERO, HalfCoords, OrderElement, Record, units
 from .dyadic import primary_associate
 
 Side = Literal["left", "right"]
@@ -29,15 +28,13 @@ Side = Literal["left", "right"]
 _COSETS = ((0, 0, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1), (0, 0, 1, 1))
 
 
-@dataclass(frozen=True, slots=True)
-class DivisionResult:
+class DivisionResult(Record):
     quotient: OrderElement
     remainder: OrderElement
     side: Side
 
 
-@dataclass(frozen=True, slots=True)
-class GcdResult:
+class GcdResult(Record):
     gcd: OrderElement
     cofactors: tuple[OrderElement, OrderElement]
     side: Side

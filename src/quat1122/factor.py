@@ -26,6 +26,9 @@ from .modm import is_primitive_to_m
 from .repcount import ENUMERATION_BOUND, enumerate_norm_solutions
 
 
+# The two records here stay dataclasses, unlike core.Record's subclasses:
+# callers rebuild a Factorization with dataclasses.replace, which needs a
+# dataclass, and every process that factors loads all layers anyway.
 @dataclass(frozen=True, slots=True)
 class PrimaryPrime:
     """A prime of the order in canonical form: primary, with rational prime norm.

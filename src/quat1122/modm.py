@@ -14,10 +14,9 @@ congruent to 1, each with an exact formula and an exhaustive enumerator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd as int_gcd
 
-from .core import OrderElement, standard_product
+from .core import OrderElement, Record, standard_product
 from .intarith import factorize, is_prime
 
 SOLVE_RS_BOUND = 10**7  # solve_rs keeps a table of m bytes
@@ -28,8 +27,7 @@ def _check_odd_modulus(m: int) -> None:
         raise ValueError(f"modulus must be odd and positive, got {m}")
 
 
-@dataclass(frozen=True, slots=True)
-class ResidueElement:
+class ResidueElement(Record):
     """q1 + q2*i + q3*sqrt(2)j + q4*sqrt(2)k with coordinates reduced mod m."""
 
     m: int
@@ -123,8 +121,7 @@ def iter_residues(m: int):
                     yield ResidueElement(m, q1, q2, q3, q4)
 
 
-@dataclass(frozen=True, slots=True)
-class RSParams:
+class RSParams(Record):
     """Parameters (r, s) with 2^-1 + r^2 + s^2 = 0 (mod m)."""
 
     m: int
@@ -162,8 +159,7 @@ def solve_rs(m: int) -> RSParams:
     raise ArithmeticError(f"no (r, s) found for m = {m}; this cannot happen")
 
 
-@dataclass(frozen=True, slots=True)
-class XiBasis:
+class XiBasis(Record):
     """The four residues spanning the matrix units, validated on construction."""
 
     params: RSParams
@@ -201,8 +197,7 @@ def xi_basis(params: RSParams) -> XiBasis:
     return XiBasis(params, x1, x2, x3, x4)
 
 
-@dataclass(frozen=True, slots=True)
-class MatrixModM:
+class MatrixModM(Record):
     """A 2x2 matrix [[a, b], [c, d]] over Z/m."""
 
     m: int

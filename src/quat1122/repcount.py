@@ -19,12 +19,11 @@ every n <= N.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import product, starmap
 from math import gcd as int_gcd
 from math import isqrt
 
-from .core import OrderElement
+from .core import OrderElement, Record
 from .dyadic import is_primary
 from .intarith import FACTOR_BOUND, factorize, sigma
 
@@ -34,8 +33,7 @@ TABLE_BOUND = 5 * 10**4  # rep_counts_upto at the bound takes about 10 s
 ENUMERATION_BOUND = 2 * 10**4  # the whole shell at the bound takes about 2 s, primes -p 0.5 s
 
 
-@dataclass(frozen=True, slots=True)
-class Restriction:
+class Restriction(Record):
     """One counting theorem: count(n) = multiplier * sigma(m), n = 2^r * m, m odd."""
 
     #: Parities (x, y, z, w), one of which a tuple must match; None = any,
@@ -63,8 +61,7 @@ RESTRICTIONS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class CountResult:
+class CountResult(Record):
     formula_count: int
     decomposition: tuple[int, int]  # n = 2^r * m
 

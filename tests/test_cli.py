@@ -90,7 +90,9 @@ def test_factor_half_form_input(capsys):
 
 def test_factor_malformed_quat(capsys):
     for text, reason in [("[1,2]", "basis form needs 4 coordinates"),
-                         ("(1+i)/2", "violate parity")]:
+                         ("(1+i)/2", "violate parity"),
+                         ("(2r2j2)/2", "unsigned term"),
+                         ("[1_0,0,0,0]", "non-integer coordinate")]:
         code, _, err = run(capsys, "factor", text)
         assert code == 1
         assert reason in err

@@ -224,6 +224,9 @@ def test_parse_examples():
     "1+2i",
     "()/2",
     "(+)/2",
+    "(2r2j2)/2",            # a term after the first needs a sign
+    "[1_0,0,0,0]",          # int() would read the digit group as 10
+    "[\u0663,0,0,0]",       # a non-ASCII digit
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
