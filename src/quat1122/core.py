@@ -211,12 +211,12 @@ class OrderElement(Record):
             )
         if not isinstance(other, OrderElement):
             return NotImplemented
-        # Multiply in doubled standard coordinates; the division by 2 must be
-        # exact (ring closure) and is asserted rather than assumed.
-        AA, BB, CC, DD = standard_product(self.half_coords, other.half_coords)
-        if (AA | BB | CC | DD) & 1:
-            raise ArithmeticError(f"non-integral product of {self} and {other}")
-        return OrderElement.from_half(AA // 2, BB // 2, CC // 2, DD // 2)
+        try:
+            half = half_product(self.half_coords, other.half_coords)
+        except ArithmeticError:
+            # Name the factors by their basis coordinates.
+            raise ArithmeticError(f"non-integral product of {self} and {other}") from None
+        return OrderElement.from_half(*half)
 
     def __rmul__(self, other: int) -> "OrderElement":
         if isinstance(other, int):
@@ -275,6 +275,22 @@ def standard_product(u, v) -> tuple[int, int, int, int]:
         u1 * v3 - u2 * v4 + u3 * v1 + u4 * v2,
         u1 * v4 + u2 * v3 - u3 * v2 + u4 * v1,
     )
+
+
+def half_product(u, v) -> tuple[int, int, int, int]:
+    """The half coordinates of the product of the elements with half coordinates u, v.
+
+    The product is taken in doubled standard coordinates, where the division
+    by 2 must be exact (ring closure); that is checked rather than assumed.
+
+    Raises:
+        ArithmeticError: a coordinate of the doubled product is odd.
+    """
+    AA, BB, CC, DD = standard_product(u, v)
+    if (AA | BB | CC | DD) & 1:
+        raise ArithmeticError(
+            f"non-integral product of half coordinates {tuple(u)} and {tuple(v)}")
+    return AA >> 1, BB >> 1, CC >> 1, DD >> 1
 
 
 def _coerce(value: OpOther) -> OrderElement:

@@ -8,6 +8,13 @@ is diagonal, so rounding within each coset and keeping the best of the four
 (Conway and Sloane's union-of-cosets decoder) finds it.  norm(r) < norm(b)
 is checked at runtime.
 
+One step kernel does this on half-coordinate integer 4-tuples: it forms the
+numerator, decodes the quotient, multiplies back and checks the remainder,
+with every product through ``core.half_product`` and its exact halving.
+``div_rem`` is one step between elements.  ``gcd`` runs its whole loop,
+Bezout cofactors included, on tuples, and builds elements (through
+``OrderElement.from_half`` and its parity check) only for its result.
+
 GCDs carry Bezout data.  For the right GCD d of (a, b):
 
     a = a' * d,   b = b' * d,   d = x*a + y*b
@@ -19,13 +26,15 @@ from __future__ import annotations
 
 from typing import Literal
 
-from .core import ONE, ZERO, HalfCoords, OrderElement, Record, units
+from .core import OrderElement, Record, half_product, units
 from .dyadic import primary_associate
 
 Side = Literal["left", "right"]
 
 #: Half-coordinate parities of the four cosets of 2Z^4 that make up the order.
 _COSETS = ((0, 0, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1), (0, 0, 1, 1))
+#: The half coordinates of 1 and 0.
+_ONE, _ZERO = (2, 0, 0, 0), (0, 0, 0, 0)
 
 
 class DivisionResult(Record):
@@ -45,16 +54,47 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def _coset_candidate(H: HalfCoords, nb: int, coset: tuple[int, ...]):
-    # (4*nb*norm(r), q.coords) for the quotient q of the coset nearest to H/nb.
+def _sub(u, v) -> tuple[int, int, int, int]:
+    return u[0] - v[0], u[1] - v[1], u[2] - v[2], u[3] - v[3]
+
+
+def _step(a, b, side: Side):
+    # One Euclid step on half coordinates: (q, r) with a = q*b + r ("right")
+    # or a = b*q + r ("left"), b nonzero, q decoded from the numerator
+    # a*conj(b) (conj(b)*a) as the best of the four coset points.
+    A, B, C, D = b
+    nb = (A * A + B * B + 2 * (C * C + D * D)) >> 2
+    conj_b = (A, -B, -C, -D)
+    right = side == "right"
+    H = half_product(a, conj_b) if right else half_product(conj_b, a)
     # x = p + 2*ceil((h/nb - p - 1)/2) is the integer of parity p nearest to
-    # h/nb, the lower one on a tie.  No tie is lost: were the least-coordinate
-    # quotient of least norm(r) an upper tie in A or B, a step of -2 there, and
-    # in C or D (its A, B are then exact) a step of (-1,-1,-1,0) or
-    # (-1,-1,0,-1), would keep norm(r) and lower q.coords.
-    X = [p - 2 * ((p * nb + nb - h) // (2 * nb)) for h, p in zip(H, coset)]
-    A, B, C, D = [x * nb - h for x, h in zip(X, H)]
-    return A * A + B * B + 2 * (C * C + D * D), OrderElement.from_half(*X).coords
+    # h/nb, the lower one on a tie; x*nb - h is its error.  No tie is lost:
+    # were the least-coordinate quotient of least norm(r) an upper tie in A
+    # or B, a step of -2 there, and in C or D (its A, B are then exact) a
+    # step of (-1,-1,-1,0) or (-1,-1,0,-1), would keep norm(r) and lower the
+    # quotient's coordinates.
+    nb2 = 2 * nb
+    rounded = []
+    for h in H:
+        even = -2 * ((nb - h) // nb2)
+        odd = 1 - 2 * ((nb2 - h) // nb2)
+        e, o = even * nb - h, odd * nb - h
+        rounded.append(((even, e * e), (odd, o * o)))
+    ra, rb, rc, rd = rounded
+    best = None
+    for pa, pb, pc, pd in _COSETS:
+        (xa, ea), (xb, eb), (xc, ec), (xd, ed) = ra[pa], rb[pb], rc[pc], rd[pd]
+        # 4*nb*norm(r), then the quotient's basis coordinates.
+        key = (ea + eb + 2 * (ec + ed), (xa - xc - xd) >> 1, (xb - xc - xd) >> 1, xc, xd)
+        if best is None or key < best:
+            best, q = key, (xa, xb, xc, xd)
+    r = _sub(a, half_product(q, b) if right else half_product(b, q))
+    RA, RB, RC, RD = r
+    nr = (RA * RA + RB * RB + 2 * (RC * RC + RD * RD)) >> 2
+    if nr >= nb:
+        a, b = OrderElement.from_half(*a), OrderElement.from_half(*b)
+        raise ArithmeticError(f"remainder norm {nr} >= {nb} in {a} / {b} ({side})")
+    return q, r
 
 
 def div_rem(a: OrderElement, b: OrderElement, side: Side = "right") -> DivisionResult:
@@ -71,17 +111,10 @@ def div_rem(a: OrderElement, b: OrderElement, side: Side = "right") -> DivisionR
             norm-Euclidean ring; kept as a runtime check).
     """
     _check_side(side)
-    nb = b.norm()
-    if nb == 0:
+    if b.is_zero:
         raise ZeroDivisionError("division by zero quaternion")
-    numerator = a * b.conjugate() if side == "right" else b.conjugate() * a
-    H = numerator.half_coords
-    _, coords = min(_coset_candidate(H, nb, coset) for coset in _COSETS)
-    q = OrderElement(*coords)
-    r = a - (q * b if side == "right" else b * q)
-    if r.norm() >= nb:
-        raise ArithmeticError(f"remainder norm {r.norm()} >= {nb} in {a} / {b} ({side})")
-    return DivisionResult(q, r, side)
+    q, r = _step(a.half_coords, b.half_coords, side)
+    return DivisionResult(OrderElement.from_half(*q), OrderElement.from_half(*r), side)
 
 
 def _normalize(d: OrderElement, x: OrderElement, y: OrderElement, side: Side):
@@ -116,14 +149,15 @@ def gcd(a: OrderElement, b: OrderElement, side: Side = "right") -> GcdResult:
     _check_side(side)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    r0, x0, y0 = a, ONE, ZERO
-    r1, x1, y1 = b, ZERO, ONE
-    while not r1.is_zero:
-        step = div_rem(r0, r1, side)
-        q, r = step.quotient, step.remainder
+    r0, x0, y0 = a.half_coords, _ONE, _ZERO
+    r1, x1, y1 = b.half_coords, _ZERO, _ONE
+    while any(r1):
+        q, r = _step(r0, r1, side)
         if side == "right":
-            r0, x0, y0, r1, x1, y1 = r1, x1, y1, r, x0 - q * x1, y0 - q * y1
+            qx, qy = half_product(q, x1), half_product(q, y1)
         else:
-            r0, x0, y0, r1, x1, y1 = r1, x1, y1, r, x0 - x1 * q, y0 - y1 * q
-    d, x, y = _normalize(r0, x0, y0, side)
+            qx, qy = half_product(x1, q), half_product(y1, q)
+        r0, x0, y0, r1, x1, y1 = r1, x1, y1, r, _sub(x0, qx), _sub(y0, qy)
+    d, x, y = (OrderElement.from_half(*h) for h in (r0, x0, y0))
+    d, x, y = _normalize(d, x, y, side)
     return GcdResult(d, (x, y), side)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd as int_gcd
 
-from .core import ONE, ONE_PLUS_I, OrderElement
+from .core import ONE, ONE_PLUS_I, OrderElement, Record
 from .dyadic import is_primary, primary_associate, valuation_1pi
 from .euclid import gcd as quat_gcd
 from .intarith import factorize, is_prime
@@ -26,11 +26,7 @@ from .modm import is_primitive_to_m
 from .repcount import ENUMERATION_BOUND, enumerate_norm_solutions
 
 
-# The two records here stay dataclasses, unlike core.Record's subclasses:
-# callers rebuild a Factorization with dataclasses.replace, which needs a
-# dataclass, and every process that factors loads all layers anyway.
-@dataclass(frozen=True, slots=True)
-class PrimaryPrime:
+class PrimaryPrime(Record):
     """A prime of the order in canonical form: primary, with rational prime norm.
 
     For p = 2 the canonical prime is 1+i (no primary associate exists in the
@@ -52,6 +48,8 @@ class PrimaryPrime:
             raise ValueError(f"{self.element} is not primary")
 
 
+# Factorization stays a dataclass, unlike core.Record's subclasses: callers
+# rebuild one with dataclasses.replace, which needs a dataclass.
 @dataclass(frozen=True, slots=True)
 class Factorization:
     """x = (1+i)^r * unit * (sign * content) * primes[0] * primes[1] * ...

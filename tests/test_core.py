@@ -177,6 +177,19 @@ def test_units_check_is_a_runtime_error(monkeypatch):
         units.__wrapped__()
 
 
+def test_half_product_checks_exact_halving(monkeypatch):
+    # The one exact halving behind every product of elements: a doubled
+    # product with an odd coordinate is not in the order.
+    import quat1122.core as core
+
+    assert core.half_product((1, 1, 1, 0), (2, 0, 0, 0)) == (1, 1, 1, 0)
+    with pytest.raises(ArithmeticError, match="non-integral product"):
+        core.half_product((1, 0, 0, 0), (1, 0, 0, 0))
+    monkeypatch.setattr(core, "standard_product", lambda u, v: (1, 0, 0, 0))
+    with pytest.raises(ArithmeticError, match=r"of \[1,0,0,0\] and \[0,1,0,0\]$"):
+        ONE * I
+
+
 def test_unit_search_exhaustive():
     # independent route: scan all valid half-coordinate tuples in [-2, 2]^4
     found = set()

@@ -17,13 +17,15 @@ from quat1122 import (
     GcdResult,
     MatrixModM,
     OrderElement,
+    PrimaryPrime,
     ResidueElement,
     RSParams,
     XiBasis,
+    primary_primes_of_norm,
     solve_rs,
     xi_basis,
 )
-from quat1122.core import Record
+from quat1122.core import ONE_PLUS_I, Record
 from quat1122.repcount import Restriction
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -63,6 +65,8 @@ def _residues(m):
 
 
 parities = st.sampled_from([None, 0, 1])
+primary_primes = st.sampled_from(
+    (PrimaryPrime(ONE_PLUS_I, 2),) + primary_primes_of_norm(3) + primary_primes_of_norm(101))
 
 #: Every record type, with a strategy for its valid instances.
 RECORDS = {
@@ -80,6 +84,7 @@ RECORDS = {
         st.lists(st.integers(1, 24), min_size=1, max_size=3).map(tuple)),
     CountResult: st.builds(CountResult, st.integers(1, 10**30),
                            st.tuples(st.integers(0, 60), st.integers(1, 10**30))),
+    PrimaryPrime: primary_primes,
 }
 
 

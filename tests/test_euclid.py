@@ -9,6 +9,7 @@ from quat1122.core import ONE, ONE_PLUS_I, ZERO, V3
 from quat1122.dyadic import is_odd, is_primary
 from quat1122.euclid import _normalize
 from quat1122.factor import primary_primes_of_norm
+from quat1122.intarith import factorize
 
 
 def rand_elem(rng, lo=-40, hi=40):
@@ -93,14 +94,42 @@ def test_div_rem_matches_reference_search():
             check(a, b, ("right", "left")[k % 2])
 
 
+def check_gcd(a, b, side):
+    res = gcd(a, b, side)
+    expected = _normalize(*euclid_reference.gcd_loop(a, b, side), side)
+    assert (res.gcd, *res.cofactors) == expected, (a, b, side)
+
+
 def test_gcd_matches_reference_loop():
     rng = random.Random(18)
-    for k in range(500):
-        a, b = rand_nonzero(rng, -20, 20), rand_nonzero(rng, -20, 20)
-        side = ("right", "left")[k % 2]
-        res = gcd(a, b, side)
-        expected = _normalize(*euclid_reference.gcd_loop(a, b, side), side)
-        assert (res.gcd, *res.cofactors) == expected, (a, b, side)
+    for bound, count in ((20, 500), (10**6, 150), (10**30, 50)):
+        for k in range(count):
+            a, b = rand_nonzero(rng, -bound, bound), rand_nonzero(rng, -bound, bound)
+            check_gcd(a, b, ("right", "left")[k % 2])
+
+
+def test_gcd_with_a_prime_matches_reference_loop():
+    # The calls factoring makes: an element with each rational prime of its
+    # norm (a gcd of norm p), and with a prime that misses it (a unit gcd).
+    rng = random.Random(19)
+    for _ in range(40):
+        x = rand_nonzero(rng, -10**6, 10**6)
+        for p in [*factorize(x.norm()), 999983]:
+            for side in ("left", "right"):
+                check_gcd(x, OrderElement(p, 0, 0, 0), side)
+
+
+def test_div_rem_checks_the_remainder_at_runtime(monkeypatch):
+    # With a coset missing from the decoder's table, V3 / 1 leaves a remainder
+    # of norm 1; the check raises ArithmeticError (exit 3), not an assert.
+    import quat1122.euclid as euclid
+
+    monkeypatch.setattr(euclid, "_COSETS", euclid._COSETS[:1])
+    for side in ("right", "left"):
+        with pytest.raises(ArithmeticError, match="remainder norm 1 >= 1"):
+            div_rem(V3, ONE, side)
+    with pytest.raises(ArithmeticError, match="remainder norm"):
+        gcd(V3, ONE, "right")
 
 
 def test_div_by_zero():
