@@ -1,4 +1,8 @@
-"""Each demo script runs to completion against this checkout's library."""
+"""Each demo script prints exactly its pinned output against this checkout's library.
+
+The pins in ``tests/golden/demos/<stem>.txt`` are the demos' stdout; a change
+to a demo's output is a reviewed change to its pin.
+"""
 
 import os
 import subprocess
@@ -9,10 +13,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden" / "demos"
 
 
 def test_all_six_demos_found():
     assert len(DEMOS) == 6
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == [p.stem for p in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -21,6 +27,6 @@ def test_demo_runs(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.txt").read_bytes()
