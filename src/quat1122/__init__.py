@@ -18,7 +18,7 @@ from importlib import import_module
 
 #: The public names, by the layer that defines them.
 _EXPORTS = {
-    "core": ("HalfCoords", "OrderElement", "format_half", "parse", "unit_inverse", "units"),
+    "core": ("OrderElement", "format_half", "parse", "units"),
     "dyadic": (
         "PrimaryClass",
         "divide_by_1pi",
@@ -29,7 +29,6 @@ _EXPORTS = {
         "residue_mod_1pi",
         "residue_mod_2",
         "residue_mod_2_1pi",
-        "unit_congruences_mod2",
         "valuation_1pi",
     ),
     "euclid": ("DivisionResult", "GcdResult", "div_rem", "gcd"),
@@ -38,8 +37,6 @@ _EXPORTS = {
         "PrimaryPrime",
         "factor_primitive",
         "full_factor",
-        "is_prime_quat",
-        "norm2_primes",
         "p_conjugate",
         "primary_prime_from",
         "primary_primes_of_norm",
@@ -50,7 +47,6 @@ _EXPORTS = {
         "ResidueElement",
         "RSParams",
         "XiBasis",
-        "count_annihilator_enum",
         "count_norm1",
         "count_norm1_enum",
         "count_psi",

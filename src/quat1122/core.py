@@ -22,18 +22,9 @@ from __future__ import annotations
 import re
 from functools import cache
 from operator import attrgetter
-from typing import NamedTuple, Union
+from typing import Union
 
 OpOther = Union["OrderElement", int]
-
-
-class HalfCoords(NamedTuple):
-    """Doubled standard-basis coordinates: the element (A + Bi + C*sqrt2 j + D*sqrt2 k)/2."""
-
-    A: int
-    B: int
-    C: int
-    D: int
 
 
 class _RecordType(type):
@@ -154,9 +145,10 @@ class OrderElement(Record):
         return (self.g1, self.g2, self.g3, self.g4)
 
     @property
-    def half_coords(self) -> HalfCoords:
+    def half_coords(self) -> tuple[int, int, int, int]:
+        """(A, B, C, D) with self = (A + Bi + C*sqrt2 j + D*sqrt2 k) / 2."""
         g1, g2, g3, g4 = self.coords
-        return HalfCoords(2 * g1 + g3 + g4, 2 * g2 + g3 + g4, g3, g4)
+        return (2 * g1 + g3 + g4, 2 * g2 + g3 + g4, g3, g4)
 
     @property
     def is_integral(self) -> bool:
@@ -344,13 +336,6 @@ def units() -> tuple[OrderElement, ...]:
     if len(set(out)) != 24 or not all(u.is_unit() for u in out):
         raise ArithmeticError("the unit table does not hold 24 distinct units")
     return out
-
-
-def unit_inverse(u: OrderElement) -> OrderElement:
-    """The two-sided inverse of a unit (its conjugate)."""
-    if not u.is_unit():
-        raise ValueError(f"{u} has norm {u.norm()}, not a unit")
-    return u.conjugate()
 
 
 # -- text round trip --------------------------------------------------------

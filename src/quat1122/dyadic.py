@@ -108,15 +108,6 @@ def residue_mod_2(e: OrderElement) -> OrderElement:
     return _MOD2_LOOKUP[tuple(g % 2 for g in e.coords)]
 
 
-def divisible_by_2_1pi(e: OrderElement) -> bool:
-    """Does the (two-sided) ideal (2*(1+i)) contain e, i.e. is e + 1 in the class of 1?"""
-    return _class_2_1pi(e + ONE) == 0
-
-
-def congruent_mod_2_1pi(a: OrderElement, b: OrderElement) -> bool:
-    return divisible_by_2_1pi(a - b)
-
-
 def primary_class(e: OrderElement) -> PrimaryClass:
     """Classify e modulo 2*(1+i) as 1, as 1 + 2*v3, or as neither."""
     k = _class_2_1pi(e)  # the primary classes are 1 and 1 + 2*v3, at index 0 and 2
@@ -154,34 +145,12 @@ def primary_associate(
     return (u, c) if primary else (-u, -c)
 
 
-def unit_congruences_mod2(b: OrderElement) -> tuple[OrderElement, OrderElement]:
-    """Units (u, u1) with b*u = 1 (mod 2) and u1*b = 1 (mod 2).
-
-    Both are +/- (conj(b) mod 2), since b*conj(b) = conj(b)*b = norm(b) is
-    odd.  Of the two signs the one with smaller norm(b*u - 1) is returned
-    (coordinate order on ties).
-
-    Raises:
-        ValueError: b has even norm.
-    """
-    if not is_odd(b):
-        raise ValueError(f"{b} has even norm; not congruent to a unit mod 2")
-    u = residue_mod_2(b.conjugate())
-
-    def pick(c):
-        # c is the product with u; the product with -u is -c.
-        if _class_2_1pi(c) is None:
-            raise ArithmeticError(f"no unit congruence mod 2 for {b}")
-        return min((u, c), (-u, -c), key=lambda uc: ((uc[1] - ONE).norm(), uc[0].coords))[0]
-
-    return pick(b * u), pick(u * b)
-
-
 def residue_mod_2_1pi(e: OrderElement) -> OrderElement | None:
     """The representative of e in {1, -1, 1+2v3, -1-2v3} modulo 2*(1+i).
 
     Every element congruent to 1 mod 2 falls in exactly one of these four
-    classes; anything else returns None.
+    classes; anything else returns None.  So the ideal contains e exactly
+    when residue_mod_2_1pi(e + 1) == 1.
     """
     k = _class_2_1pi(e)
     return None if k is None else CANONICAL_RESIDUES_2_1PI[k]

@@ -90,16 +90,6 @@ class Factorization:
         }
 
 
-def is_prime_quat(e: OrderElement) -> bool:
-    """Prime in the order <=> the norm is a rational prime."""
-    return is_prime(e.norm())
-
-
-def norm2_primes() -> tuple[OrderElement, ...]:
-    """All 24 primes of norm 2 (the one-sided associates of 1+i)."""
-    return enumerate_norm_solutions(2)
-
-
 def primary_prime_from(f: OrderElement, p: int) -> PrimaryPrime:
     """The primary prime of norm p attached to f: the right GCD of f with p.
 
@@ -144,7 +134,7 @@ def primary_primes_of_norm(p: int) -> tuple[PrimaryPrime, ...]:
     if p == 2:
         raise ValueError(
             "no primary primes of norm 2: the norm-2 primes are the 24 "
-            "associates of 1+i, reported by norm2_primes()"
+            "associates of 1+i, reported by enumerate_norm_solutions(2)"
         )
     # p above the enumeration bound is refused there, before any trial division.
     if p <= ENUMERATION_BOUND and not is_prime(p):

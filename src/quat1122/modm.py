@@ -15,9 +15,10 @@ congruent to 1, each with an exact formula and an exhaustive enumerator.
 from __future__ import annotations
 
 from math import gcd as int_gcd
+from operator import add
 
 from .core import OrderElement, Record, standard_product
-from .intarith import factorize, is_prime
+from .intarith import factorize
 
 SOLVE_RS_BOUND = 10**7  # solve_rs keeps a table of m bytes
 
@@ -27,7 +28,34 @@ def _check_odd_modulus(m: int) -> None:
         raise ValueError(f"modulus must be odd and positive, got {m}")
 
 
-class ResidueElement(Record):
+class _ModM(Record):
+    """A value over Z/m: the fields are the odd modulus m, then entries reduced mod m."""
+
+    def __post_init__(self):
+        m, *entries = self._key(self)
+        _check_odd_modulus(m)
+        for x in entries:
+            if not 0 <= x < m:
+                raise ValueError(f"coordinate {x} not reduced mod {m}")
+
+    @classmethod
+    def make(cls, m: int, *entries: int):
+        _check_odd_modulus(m)  # before reducing: m = 0 would divide by zero
+        return cls(m, *(x % m for x in entries))
+
+    def _same_modulus(self, other: "_ModM") -> None:
+        if self.m != other.m:
+            raise ValueError(f"mismatched moduli {self.m} and {other.m}")
+
+    def __add__(self, other):
+        self._same_modulus(other)
+        return self.make(self.m, *map(add, self._key(self)[1:], other._key(other)[1:]))
+
+    def is_primitive(self) -> bool:
+        return int_gcd(*self._key(self)) == 1
+
+
+class ResidueElement(_ModM):
     """q1 + q2*i + q3*sqrt(2)j + q4*sqrt(2)k with coordinates reduced mod m."""
 
     m: int
@@ -36,41 +64,16 @@ class ResidueElement(Record):
     q3: int
     q4: int
 
-    def __post_init__(self):
-        _check_odd_modulus(self.m)
-        for q in (self.q1, self.q2, self.q3, self.q4):
-            if not 0 <= q < self.m:
-                raise ValueError(f"coordinate {q} not reduced mod {self.m}")
-
-    @classmethod
-    def make(cls, m: int, q1: int, q2: int, q3: int, q4: int) -> "ResidueElement":
-        return cls(m, q1 % m, q2 % m, q3 % m, q4 % m)
-
     @classmethod
     def zero(cls, m: int) -> "ResidueElement":
         return cls.make(m, 0, 0, 0, 0)
-
-    @classmethod
-    def one(cls, m: int) -> "ResidueElement":
-        return cls.make(m, 1, 0, 0, 0)
 
     @property
     def coords(self) -> tuple[int, int, int, int]:
         return (self.q1, self.q2, self.q3, self.q4)
 
-    def _same_modulus(self, other: "ResidueElement") -> None:
-        if self.m != other.m:
-            raise ValueError(f"mismatched moduli {self.m} and {other.m}")
-
-    def __add__(self, other: "ResidueElement") -> "ResidueElement":
-        self._same_modulus(other)
-        return ResidueElement.make(
-            self.m, self.q1 + other.q1, self.q2 + other.q2,
-            self.q3 + other.q3, self.q4 + other.q4,
-        )
-
     def __neg__(self) -> "ResidueElement":
-        return ResidueElement.make(self.m, -self.q1, -self.q2, -self.q3, -self.q4)
+        return self.scale(-1)
 
     def __sub__(self, other: "ResidueElement") -> "ResidueElement":
         return self.__add__(-other)
@@ -80,16 +83,11 @@ class ResidueElement(Record):
         return ResidueElement.make(self.m, *standard_product(self.coords, other.coords))
 
     def scale(self, k: int) -> "ResidueElement":
-        return ResidueElement.make(
-            self.m, k * self.q1, k * self.q2, k * self.q3, k * self.q4
-        )
+        return ResidueElement.make(self.m, *(k * q for q in self.coords))
 
     def norm(self) -> int:
         q1, q2, q3, q4 = self.coords
         return (q1 * q1 + q2 * q2 + 2 * q3 * q3 + 2 * q4 * q4) % self.m
-
-    def is_primitive(self) -> bool:
-        return int_gcd(self.q1, self.q2, self.q3, self.q4, self.m) == 1
 
     def lift(self) -> OrderElement:
         """The canonical preimage in the order (integral, coordinates in [0, m))."""
@@ -197,7 +195,7 @@ def xi_basis(params: RSParams) -> XiBasis:
     return XiBasis(params, x1, x2, x3, x4)
 
 
-class MatrixModM(Record):
+class MatrixModM(_ModM):
     """A 2x2 matrix [[a, b], [c, d]] over Z/m."""
 
     m: int
@@ -205,16 +203,6 @@ class MatrixModM(Record):
     b: int
     c: int
     d: int
-
-    def __post_init__(self):
-        _check_odd_modulus(self.m)
-        for entry in (self.a, self.b, self.c, self.d):
-            if not 0 <= entry < self.m:
-                raise ValueError(f"entry {entry} not reduced mod {self.m}")
-
-    @classmethod
-    def make(cls, m: int, a: int, b: int, c: int, d: int) -> "MatrixModM":
-        return cls(m, a % m, b % m, c % m, d % m)
 
     @classmethod
     def identity(cls, m: int) -> "MatrixModM":
@@ -226,16 +214,6 @@ class MatrixModM(Record):
 
     def rows(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]
-
-    def _same_modulus(self, other: "MatrixModM") -> None:
-        if self.m != other.m:
-            raise ValueError(f"mismatched moduli {self.m} and {other.m}")
-
-    def __add__(self, other: "MatrixModM") -> "MatrixModM":
-        self._same_modulus(other)
-        return MatrixModM.make(
-            self.m, self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
-        )
 
     def __mul__(self, other: "MatrixModM") -> "MatrixModM":
         self._same_modulus(other)
@@ -249,9 +227,6 @@ class MatrixModM(Record):
 
     def det(self) -> int:
         return (self.a * self.d - self.b * self.c) % self.m
-
-    def is_primitive(self) -> bool:
-        return int_gcd(self.a, self.b, self.c, self.d, self.m) == 1
 
 
 def tau(q: ResidueElement, params: RSParams) -> MatrixModM:
@@ -338,22 +313,3 @@ def count_norm1_enum(m: int) -> int:
                     if (base + 2 * q4 * q4) % m == target:
                         count += 1
     return count
-
-
-def count_annihilator_enum(f: ResidueElement, p: int) -> int:
-    """Number of residues x mod p with x*f = 0; equals p^2 for valid f.
-
-    Raises:
-        ValueError: p not an odd prime, f not primitive to p, or norm(f)
-            not divisible by p.
-    """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"{p} is not an odd prime")
-    if f.m != p:
-        raise ValueError(f"residue mod {f.m} does not match p = {p}")
-    if not f.is_primitive():
-        raise ValueError(f"{f} is not primitive to {p}")
-    if f.norm() % p:
-        raise ValueError(f"norm of {f} is not divisible by {p}")
-    zero = ResidueElement.zero(p)
-    return sum(1 for x in iter_residues(p) if x * f == zero)

@@ -167,48 +167,42 @@ def _signed(v: int) -> tuple[int, ...]:
     return (v, -v) if v else (0,)
 
 
-def _shell(target: int, parity: bool) -> Iterator[tuple[int, int, int, int]]:
-    """Every integer (a, b, c, d) with a^2 + b^2 + 2c^2 + 2d^2 = target.
+def _shell(target: int) -> Iterator[tuple[int, int, int, int]]:
+    """Every integer (a, b, c, d) with a^2 + b^2 + 2c^2 + 2d^2 = target, b = c + d (mod 2).
 
-    With parity=True only the tuples with b = c + d (mod 2) come out; a
-    then has the parity of target + c + d.  Loops c, d and b over
+    a then has the parity of target + c + d.  Loops c, d and b over
     nonnegative values, b within its parity class, solves for a with
     isqrt and yields every sign choice, so nothing but the output is held.
     """
-    step = 2 if parity else 1
     for c in range(isqrt(target // 2) + 1):
         rem_c = target - 2 * c * c
         for d in range(isqrt(rem_c // 2) + 1):
             rem_cd = rem_c - 2 * d * d
-            for b in range((c + d) % 2 if parity else 0, isqrt(rem_cd) + 1, step):
+            for b in range((c + d) % 2, isqrt(rem_cd) + 1, 2):
                 rem = rem_cd - b * b
                 a = isqrt(rem)
                 if a * a == rem:
                     yield from product(_signed(a), _signed(b), _signed(c), _signed(d))
 
 
-def enumerate_norm_solutions(
-    n: int, integral: bool = False, primary: bool = False
-) -> tuple[OrderElement, ...]:
+def enumerate_norm_solutions(n: int, primary: bool = False) -> tuple[OrderElement, ...]:
     """All elements of norm n, sorted by coordinates.
 
     Each mode is one ``_shell`` search:
 
     - default: the whole order, as half coordinates (A, B, C, D) with
       A^2 + B^2 + 2C^2 + 2D^2 = 4n and A = B = C + D (mod 2).
-    - integral=True: the sublattice spanned by {1, i, sqrt2 j, sqrt2 k},
-      whose norm-n elements are the representations (x, y, z, w) of n by
-      the quadratic form, searched at n directly.
-    - primary=True, odd n only (integral is then implied): the primary
-      elements.  These are 1 mod 2, hence integral with y = z + w and
-      x = 1 + z + w (mod 2); only those 2 * sigma(n) representations are
-      searched, and ``is_primary`` keeps half of them.
+    - primary=True, odd n only: the primary elements.  These are 1 mod 2,
+      hence integral, with standard coordinates (x, y, z, w) solving
+      x^2 + y^2 + 2z^2 + 2w^2 = n with y = z + w and x = 1 + z + w (mod 2);
+      only those 2 * sigma(n) representations are searched, and
+      ``is_primary`` keeps half of them.
 
-    The loops take about n^1.5 steps by default, a quarter of that with
-    integral=True and an eighth with primary=True; building the elements
-    costs about 3 us each.  On one core of a Xeon VM with CPython 3.11 the
-    default shell at n = 5000 takes 0.08 s (18,744 elements), at n = 19997
-    1.7 s (479,952), and primary=True at n = 19997 0.2 s.
+    The loops take about n^1.5 steps by default and an eighth of that with
+    primary=True; building the elements costs about 3 us each.  On one core
+    of a Xeon VM with CPython 3.11 the default shell at n = 5000 takes
+    0.08 s (18,744 elements), at n = 19997 1.7 s (479,952), and
+    primary=True at n = 19997 0.2 s.
 
     Raises:
         ValueError: n < 1, n > ENUMERATION_BOUND, or primary=True with an
@@ -221,12 +215,9 @@ def enumerate_norm_solutions(
     if primary:
         if n % 2 == 0:
             raise ValueError(f"primary elements have odd norm, got {n}")
-        found = [e for e in starmap(OrderElement.from_standard, _shell(n, True))
-                 if is_primary(e)]
-    elif integral:
-        found = list(starmap(OrderElement.from_standard, _shell(n, False)))
+        found = [e for e in starmap(OrderElement.from_standard, _shell(n)) if is_primary(e)]
     else:
-        found = list(starmap(OrderElement.from_half, _shell(4 * n, True)))
+        found = list(starmap(OrderElement.from_half, _shell(4 * n)))
     found.sort(key=lambda e: e.coords)
     return tuple(found)
 
@@ -245,8 +236,6 @@ def q_formula(m: int) -> int:
 
 def count_primitive_enum(m: int) -> int:
     """Primitive elements of norm m counted by lattice enumeration."""
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"m must be odd and positive, got {m}")
     return sum(
         1 for e in enumerate_norm_solutions(m, primary=True) if int_gcd(*e.coords) == 1
     )
@@ -254,6 +243,4 @@ def count_primitive_enum(m: int) -> int:
 
 def count_primary_enum(m: int) -> int:
     """Primary elements of norm m counted by lattice enumeration; equals sigma(m)."""
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"m must be odd and positive, got {m}")
     return len(enumerate_norm_solutions(m, primary=True))

@@ -4,9 +4,13 @@ e lies in the ideal 2(1+i) exactly when e/2 is exact in coordinates and
 1+i divides e/2, i.e. norm(e/2) is even.  Classes are decided by
 subtracting each representative and testing that.  Only core arithmetic
 (subtraction, norm) is used, nothing from ``quat1122.dyadic``.
+
+``unit_congruences_mod2`` is a search the library no longer needs.  It
+reads the library's residues mod 2, and the tests check it against a scan
+of the 24 units.
 """
 
-from quat1122 import OrderElement, PrimaryClass
+from quat1122 import OrderElement, PrimaryClass, residue_mod_2
 
 ONE = OrderElement(1, 0, 0, 0)
 ONE_PLUS_2V3 = OrderElement(1, 0, 2, 0)
@@ -36,3 +40,26 @@ def primary_class(e):
 
 def is_primary(e):
     return primary_class(e) is not PrimaryClass.NOT_PRIMARY
+
+
+def unit_congruences_mod2(b):
+    """Units (u, u1) with b*u = 1 (mod 2) and u1*b = 1 (mod 2).
+
+    Both are +/- (conj(b) mod 2), since b*conj(b) = conj(b)*b = norm(b) is
+    odd.  Of the two signs the one with smaller norm(b*u - 1) is returned
+    (coordinate order on ties).
+
+    Raises:
+        ValueError: b has even norm.
+    """
+    if b.norm() % 2 == 0:
+        raise ValueError(f"{b} has even norm; not congruent to a unit mod 2")
+    u = residue_mod_2(b.conjugate())
+
+    def pick(c):
+        # c is the product with u; the product with -u is -c.
+        if any(g % 2 for g in (c - ONE).coords):
+            raise ArithmeticError(f"no unit congruence mod 2 for {b}")
+        return min((u, c), (-u, -c), key=lambda uc: ((uc[1] - ONE).norm(), uc[0].coords))[0]
+
+    return pick(b * u), pick(u * b)

@@ -9,9 +9,9 @@ code with the formulas they check.
 import random
 import time
 
+from modm_reference import count_annihilator_enum
 from quat1122 import (
     OrderElement,
-    count_annihilator_enum,
     count_norm1,
     count_norm1_enum,
     count_primary_enum,

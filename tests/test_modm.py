@@ -3,12 +3,12 @@ from math import gcd as int_gcd
 
 import pytest
 
+from modm_reference import count_annihilator_enum
 from quat1122 import (
     MatrixModM,
     OrderElement,
     ResidueElement,
     RSParams,
-    count_annihilator_enum,
     count_norm1,
     count_norm1_enum,
     count_psi,

@@ -255,19 +255,19 @@ def test_restricted_batch_matches_single():
 
 def test_enumerate_norm_1():
     assert set(enumerate_norm_solutions(1)) == set(units())
-    integral_units = enumerate_norm_solutions(1, integral=True)
+    integral_units = [e for e in enumerate_norm_solutions(1) if e.is_integral]
     assert set(integral_units) == {ONE, -ONE, I, -I}
 
 
 def test_enumerate_norm_2_integral():
-    assert len(enumerate_norm_solutions(2, integral=True)) == 8
+    assert len([e for e in enumerate_norm_solutions(2) if e.is_integral]) == 8
 
 
 def test_integral_counts_match_oracle():
     for n in range(1, 40):
-        sols = enumerate_norm_solutions(n, integral=True)
+        sols = [e for e in enumerate_norm_solutions(n) if e.is_integral]
         assert len(sols) == rep_count_oracle(n)
-        assert all(e.norm() == n and e.is_integral for e in sols)
+        assert all(e.norm() == n for e in sols)
 
 
 def test_enumeration_is_sorted_and_duplicate_free():
@@ -277,10 +277,7 @@ def test_enumeration_is_sorted_and_duplicate_free():
 
 def test_shell_matches_reference():
     for n in range(1, 301):
-        reference = reference_norm_shell(n)
-        assert enumerate_norm_solutions(n) == reference, n
-        integral = tuple(e for e in reference if e.is_integral)
-        assert enumerate_norm_solutions(n, integral=True) == integral, n
+        assert enumerate_norm_solutions(n) == reference_norm_shell(n), n
 
 
 def test_primary_shell_matches_reference():
