@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from importlib import import_module
 from typing import TYPE_CHECKING
 
@@ -213,7 +214,9 @@ def _run_verify(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by later ones."""
     parser = _Parser(prog="quat1122",
                      description="Exact arithmetic and representation counts for "
                                  "the quadratic form x^2 + y^2 + 2z^2 + 2w^2.")

@@ -131,13 +131,6 @@ class OrderElement(Record):
         """Build x + y*i + z*sqrt(2)j + w*sqrt(2)k from integer coefficients."""
         return cls.from_half(2 * x, 2 * y, 2 * z, 2 * w)
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "OrderElement":
-        v = obj["v"]
-        if len(v) != 4:
-            raise ValueError(f"quaternion JSON needs 4 coordinates, got {v!r}")
-        return cls(*(int(c) for c in v))
-
     # -- views -------------------------------------------------------------
 
     @property
@@ -159,13 +152,6 @@ class OrderElement(Record):
     @property
     def is_zero(self) -> bool:
         return self.coords == (0, 0, 0, 0)
-
-    def standard_coords(self) -> tuple[int, int, int, int]:
-        """Integer standard coefficients (x, y, z, w); requires an integral element."""
-        A, B, C, D = self.half_coords
-        if not self.is_integral:
-            raise ValueError(f"{self} has half-integer standard coefficients")
-        return (A // 2, B // 2, C // 2, D // 2)
 
     def to_json(self) -> dict:
         return {"v": list(self.coords)}

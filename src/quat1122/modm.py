@@ -14,6 +14,7 @@ congruent to 1, each with an exact formula and an exhaustive enumerator.
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd as int_gcd
 from operator import add
 
@@ -279,17 +280,7 @@ def count_psi(m: int) -> int:
 
 def count_psi_enum(m: int) -> int:
     """Exhaustive count over all m^4 residues (intended for small m)."""
-    _check_odd_modulus(m)
-    count = 0
-    for q1 in range(m):
-        for q2 in range(m):
-            for q3 in range(m):
-                base = q1 * q1 + q2 * q2 + 2 * q3 * q3
-                g123 = int_gcd(q1, q2, q3, m)
-                for q4 in range(m):
-                    if (base + 2 * q4 * q4) % m == 0 and int_gcd(g123, q4) == 1:
-                        count += 1
-    return count
+    return _count_residues(m, 0, primitive=True)
 
 
 def count_norm1(m: int) -> int:
@@ -302,14 +293,17 @@ def count_norm1(m: int) -> int:
 
 
 def count_norm1_enum(m: int) -> int:
+    """Exhaustive count over all m^4 residues (intended for small m)."""
+    return _count_residues(m, 1, primitive=False)
+
+
+def _count_residues(m: int, target: int, primitive: bool) -> int:
+    """Residues (q1, q2, q3, q4) mod m with norm = target (mod m), one by one.
+
+    primitive=True counts only those with gcd(q1, q2, q3, q4, m) = 1.
+    """
     _check_odd_modulus(m)
-    target = 1 % m
-    count = 0
-    for q1 in range(m):
-        for q2 in range(m):
-            for q3 in range(m):
-                base = q1 * q1 + q2 * q2 + 2 * q3 * q3
-                for q4 in range(m):
-                    if (base + 2 * q4 * q4) % m == target:
-                        count += 1
-    return count
+    target %= m
+    return sum(1 for q1, q2, q3, q4 in product(range(m), repeat=4)
+               if (q1 * q1 + q2 * q2 + 2 * q3 * q3 + 2 * q4 * q4) % m == target
+               and (not primitive or int_gcd(q1, q2, q3, q4, m) == 1))

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import quat1122
 from quat1122 import OrderElement, parse
-from quat1122.cli import main
+from quat1122.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -54,7 +59,7 @@ LARGE_INPUTS = {
     "count": (["count", "100000000000000000039"], "bound 1000000000000000"),
     "tau": (["tau", "-m", "99999999977", "[0,1,0,0]"], "bound 10000000"),
     "primes": (["primes", "-p", "999983"], "bound 20000"),
-    "verify": (["verify", "--max-n", "1000000000"], "bound 50000"),
+    "verify": (["verify", "--max-n", "1000000000"], "bound 200000"),
     # a prime far above the bound: refused before any trial division
     "primes-huge": (["primes", "-p", "1000000000000000003"], "bound 20000"),
     # norm near 1e58: refused before factoring it
@@ -196,3 +201,86 @@ def test_unknown_verb(capsys):
 def test_missing_required_argument(capsys):
     code, _, err = run(capsys, "tau", "[0,1,0,0]")
     assert code == 1
+
+
+def test_verify_just_past_the_table_bound(capsys):
+    start = time.monotonic()
+    result = run(capsys, "verify", "--max-n", "200001")
+    assert time.monotonic() - start < 1.0
+    assert result == (1, "", "error: limit = 200001 exceeds the table bound 200000\n")
+
+
+def test_verify_at_the_table_bound(capsys):
+    code, blob, err = run_json(capsys, "verify", "--max-n", "200000", "--json")
+    assert (code, err) == (0, "")
+    assert blob["ok"] is True
+    assert blob["checked"] == {"none": 200000, "i": 25000, "ii": 12500, "iii": 25000}
+
+
+# -- the parser, built once per process ------------------------------------------
+
+#: One argv per verb form, text and JSON, and the usage and input errors.
+VERB_FORMS = [
+    ["count", "12"], ["count", "20", "--restriction", "i", "--oracle", "--json"],
+    ["factor", "[6,3,1,-2]"], ["factor", "(2+2i)/2", "--json"],
+    ["gcd", "[7,1,2,3]", "[3,0,0,0]"], ["gcd", "--side", "left", "[2,0,0,0]",
+                                        "[1,1,0,0]", "--json"],
+    ["tau", "-m", "15", "[0,1,0,0]"], ["tau", "-m", "3", "[0,1,0,0]", "--json"],
+    ["primary", "[3,0,0,0]"], ["primary", "[0,1,0,0]", "--side", "left", "--json"],
+    ["primes", "-p", "5"], ["primes", "-p", "13", "--json"],
+    ["verify", "--max-n", "64"], ["verify", "--max-n", "120", "--json"],
+    ["count", "0"], ["factor", "(1+i)/2"], ["tau", "[0,1,0,0]"], ["bogus"],
+    ["count", "12", "--restriction", "iv"], ["verify", "--max-n", "x"],
+]
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_importing_cli_builds_no_parser():
+    script = ("from quat1122 import cli\n"
+              "print(cli.build_parser.cache_info().currsize)")
+    src = str(Path(quat1122.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert proc.stdout == "0\n"
+
+
+def test_each_verb_form_twice_gives_the_same_bytes(capsys):
+    first = [run(capsys, *argv) for argv in VERB_FORMS]
+    second = [run(capsys, *argv) for argv in VERB_FORMS]
+    assert first == second
+    assert [code for code, _, _ in first] == [0] * 14 + [1] * 6
+
+
+def test_usage_error_between_good_calls(capsys):
+    good = ["count", "20", "--restriction", "i", "--oracle", "--json"]
+    bad = ["tau", "[0,1,0,0]"]
+    build_parser.cache_clear()
+    fresh = run(capsys, *bad)
+    assert fresh == (1, "", "error: the following arguments are required: -m\n")
+    before, again, after = run(capsys, *good), run(capsys, *bad), run(capsys, *good)
+    assert again == fresh
+    assert before == after
+    assert before[0] == 0
+
+
+def help_text(capsys, *argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 0
+    return capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["gcd", "-h"]])
+def test_help_is_unchanged_by_the_cache(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    first = help_text(capsys, *argv)
+    run(capsys, "count", "12")
+    assert help_text(capsys, *argv) == first
+    assert first.err == ""
+    # A parser built afresh prints the same text.
+    with pytest.raises(SystemExit):
+        build_parser.__wrapped__().parse_args(argv)
+    assert capsys.readouterr() == first

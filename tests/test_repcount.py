@@ -1,8 +1,11 @@
+import random
+import time
 from math import isqrt
 
 import pytest
 
 import dyadic_reference as ref
+import repcount_reference as table_ref
 from quat1122 import (
     OrderElement,
     count_primary_enum,
@@ -19,7 +22,13 @@ from quat1122 import (
 )
 from quat1122.core import I, ONE, ONE_PLUS_I
 from quat1122.intarith import FACTOR_BOUND, factorize, is_prime
-from quat1122.repcount import COUNT_BOUND, ENUMERATION_BOUND, ORACLE_BOUND
+from quat1122.repcount import (
+    COUNT_BOUND,
+    ENUMERATION_BOUND,
+    ORACLE_BOUND,
+    RESTRICTIONS,
+    TABLE_BOUND,
+)
 
 #: Which signed (x, y, z, w) each restriction counts, stated directly.
 ADMITS = {
@@ -249,6 +258,35 @@ def test_restricted_batch_matches_single():
     counts = rep_counts_upto(200, "ii")
     for m in (1, 3, 5, 7, 9, 11, 13, 15):
         assert counts[8 * m] == rep_count_oracle(8 * m, "ii")
+
+
+# -- the sweep table -------------------------------------------------------------
+
+@pytest.mark.parametrize("restriction", list(RESTRICTIONS))
+def test_table_matches_nested_loop(restriction):
+    # Every limit up to 64 covers empty series and truncation at the top.
+    for limit in [*range(65), 3000]:
+        assert rep_counts_upto(limit, restriction) == table_ref.rep_counts_upto(
+            limit, restriction), limit
+
+
+@pytest.mark.parametrize("limit", [5 * 10**4, 2 * 10**5])
+def test_large_table_matches_single_oracle(limit):
+    rng = random.Random(limit)
+    for case in ("none", "i", "ii", "iii"):
+        counts = rep_counts_upto(limit, case)
+        admissible = RESTRICTIONS[case].admissible(limit)
+        for n in [admissible[0], admissible[-1], *rng.sample(admissible, 5)]:
+            assert counts[n] == rep_count_oracle(n, case), (case, n)
+
+
+def test_table_bound_is_refused_at_once():
+    assert TABLE_BOUND == 2 * 10**5
+    start = time.monotonic()
+    with pytest.raises(ValueError) as excinfo:
+        rep_counts_upto(TABLE_BOUND + 1)
+    assert time.monotonic() - start < 1.0
+    assert str(excinfo.value) == "limit = 200001 exceeds the table bound 200000"
 
 
 # -- lattice enumeration ---------------------------------------------------------
