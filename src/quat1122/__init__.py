@@ -46,17 +46,14 @@ _EXPORTS = {
         "MatrixModM",
         "ResidueElement",
         "RSParams",
-        "XiBasis",
         "count_norm1",
         "count_norm1_enum",
         "count_psi",
         "count_psi_enum",
-        "is_primitive_to_m",
         "reduce_mod_m",
         "solve_rs",
         "tau",
         "tau_inv",
-        "xi_basis",
     ),
     "repcount": (
         "CountResult",

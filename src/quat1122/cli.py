@@ -19,32 +19,19 @@ import argparse
 import json
 import sys
 from functools import cache
-from importlib import import_module
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .core import OrderElement
 
-#: Layer names this module offers as attributes, each read from its defining
-#: module (the value) on every access, so that a caller sees what that module
-#: holds now.
-_LAYER_ATTRS = {
-    "euclid": "euclid",
-    "repcount": "repcount",
-    "primary_associate": "dyadic",
-    "full_factor": "factor",
-    "primary_primes_of_norm": "factor",
-    "reduce_mod_m": "modm",
-    "solve_rs": "modm",
-    "tau": "modm",
-}
-
 
 def __getattr__(name: str):
-    if name not in _LAYER_ATTRS:
+    # Read from factor on every access, so that a caller sees what factor holds now.
+    if name != "full_factor":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(f".{_LAYER_ATTRS[name]}", __package__)
-    return module if name == _LAYER_ATTRS[name] else getattr(module, name)
+    from .factor import full_factor
+
+    return full_factor
 
 
 class _UsageError(Exception):

@@ -22,7 +22,7 @@ from .core import ONE, ONE_PLUS_I, OrderElement, Record
 from .dyadic import is_primary, primary_associate, valuation_1pi
 from .euclid import gcd as quat_gcd
 from .intarith import factorize, is_prime
-from .modm import is_primitive_to_m
+from .modm import reduce_mod_m
 from .repcount import ENUMERATION_BOUND, enumerate_norm_solutions
 
 
@@ -103,7 +103,7 @@ def primary_prime_from(f: OrderElement, p: int) -> PrimaryPrime:
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd rational prime")
-    if not is_primitive_to_m(f, p):
+    if not reduce_mod_m(f, p).is_primitive():
         raise ValueError(f"{f} is not primitive to {p}")
     if f.norm() % p:
         raise ValueError(f"norm {f.norm()} of {f} is not divisible by {p}")

@@ -6,7 +6,8 @@ For odd m every element of the order is congruent mod m to a unique
 
 so the quotient ring has m^4 elements.  Picking (r, s) with
 2^-1 + r^2 + s^2 = 0 (mod m) yields a ring isomorphism tau onto the full
-matrix ring M_2(Z/m) that carries the norm to the determinant.  The
+matrix ring M_2(Z/m) that carries the norm to the determinant; the
+paper's xi_1..xi_4 are tau_inv(2 E_k) for the matrix units E_k.  The
 counting functions at the bottom give the number of residues that are
 primitive to m with norm divisible by m (psi) and the number with norm
 congruent to 1, each with an exact formula and an exhaustive enumerator.
@@ -158,44 +159,6 @@ def solve_rs(m: int) -> RSParams:
     raise ArithmeticError(f"no (r, s) found for m = {m}; this cannot happen")
 
 
-class XiBasis(Record):
-    """The four residues spanning the matrix units, validated on construction."""
-
-    params: RSParams
-    xi1: ResidueElement
-    xi2: ResidueElement
-    xi3: ResidueElement
-    xi4: ResidueElement
-
-
-def xi_basis(params: RSParams) -> XiBasis:
-    """Build xi1..xi4 from (r, s) and verify all sixteen product relations.
-
-    xi1 = 1 + r*sqrt2 j + s*sqrt2 k        xi2 = i + s*sqrt2 j - r*sqrt2 k
-    xi3 = -i + s*sqrt2 j - r*sqrt2 k       xi4 = 1 - r*sqrt2 j - s*sqrt2 k
-
-    Raises:
-        ArithmeticError: a product relation fails (would signal an
-            arithmetic bug, not bad input).
-    """
-    m, r, s = params.m, params.r, params.s
-    x1 = ResidueElement.make(m, 1, 0, r, s)
-    x2 = ResidueElement.make(m, 0, 1, s, -r)
-    x3 = ResidueElement.make(m, 0, -1, s, -r)
-    x4 = ResidueElement.make(m, 1, 0, -r, -s)
-    zero = ResidueElement.zero(m)
-    vanishing = [
-        x1 * x3, x1 * x4, x2 * x1, x3 * x4, x4 * x1, x4 * x2, x2 * x2, x3 * x3,
-    ]
-    doubling = [
-        (x1 * x1, x1), (x2 * x3, x1), (x1 * x2, x2), (x2 * x4, x2),
-        (x3 * x1, x3), (x4 * x3, x3), (x3 * x2, x4), (x4 * x4, x4),
-    ]
-    if any(p != zero for p in vanishing) or any(p != x.scale(2) for p, x in doubling):
-        raise ArithmeticError(f"xi relations fail for {params}")
-    return XiBasis(params, x1, x2, x3, x4)
-
-
 class MatrixModM(_ModM):
     """A 2x2 matrix [[a, b], [c, d]] over Z/m."""
 
@@ -259,12 +222,6 @@ def tau_inv(mat: MatrixModM, params: RSParams) -> ResidueElement:
         (r * (a - d) + s * (b + c)) * inv2,
         (s * (a - d) - r * (b + c)) * inv2,
     )
-
-
-def is_primitive_to_m(e: OrderElement, m: int) -> bool:
-    """gcd of the four basis coordinates with m equals 1."""
-    _check_odd_modulus(m)
-    return int_gcd(e.g1, e.g2, e.g3, e.g4, m) == 1
 
 
 # -- counting ----------------------------------------------------------------

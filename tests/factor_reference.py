@@ -9,13 +9,13 @@ from ``quat1122.factor``.
 from quat1122 import OrderElement
 from quat1122.euclid import gcd as quat_gcd
 from quat1122.intarith import is_prime
-from quat1122.modm import is_primitive_to_m
+from quat1122.modm import reduce_mod_m
 
 
 def _check_lift_preconditions(f: OrderElement, p: int) -> None:
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd rational prime")
-    if not is_primitive_to_m(f, p):
+    if not reduce_mod_m(f, p).is_primitive():
         raise ValueError(f"{f} is not primitive to {p}")
     if f.norm() % p:
         raise ValueError(f"norm {f.norm()} of {f} is not divisible by {p}")

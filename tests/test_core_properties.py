@@ -21,10 +21,8 @@ from quat1122 import (
     PrimaryPrime,
     ResidueElement,
     RSParams,
-    XiBasis,
     primary_primes_of_norm,
     solve_rs,
-    xi_basis,
 )
 from quat1122.core import ONE_PLUS_I, Record
 from quat1122.repcount import Restriction
@@ -76,7 +74,6 @@ RECORDS = {
     GcdResult: st.builds(GcdResult, elements, st.tuples(elements, elements), sides),
     ResidueElement: odd_moduli.flatmap(_residues),
     RSParams: odd_moduli.map(solve_rs),
-    XiBasis: odd_moduli.map(lambda m: xi_basis(solve_rs(m))),
     MatrixModM: st.builds(MatrixModM.make, odd_moduli, coords, coords, coords, coords),
     Restriction: st.builds(
         Restriction, st.lists(st.tuples(parities, parities, parities, parities),

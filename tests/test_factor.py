@@ -20,7 +20,7 @@ from quat1122 import (
 from quat1122.core import I, ONE, ONE_PLUS_I, V3, ZERO
 from quat1122.factor import is_primitive
 from quat1122.intarith import FACTOR_BOUND, is_prime
-from quat1122.modm import is_primitive_to_m, iter_residues
+from quat1122.modm import iter_residues, reduce_mod_m
 
 
 def primitive_residue_reps(p):
@@ -68,8 +68,13 @@ def test_norm2_primes_are_the_associates_of_1pi():
 # -- the gcd-to-primary-prime map ---------------------------------------------
 
 def test_lift_rejects_bad_input():
-    with pytest.raises(ValueError, match="not primitive"):
+    with pytest.raises(ValueError, match=r"^\[0,0,3,0\] is not primitive to 3$"):
         primary_prime_from(3 * V3, 3)
+    # norm divisible by p, every coordinate too: refused as not primitive
+    f = 7 * OrderElement(10**29 + 1, 3, -5, 2)
+    message = rf"^\[{7 * 10**29 + 7},21,-35,14\] is not primitive to 7$"
+    with pytest.raises(ValueError, match=message):
+        primary_prime_from(f, 7)
     with pytest.raises(ValueError, match="not divisible"):
         primary_prime_from(ONE, 3)
     with pytest.raises(ValueError, match="odd rational prime"):
@@ -100,7 +105,7 @@ def test_prime_from_matches_reference_lift_seeded():
         spread = 5 * p * p // step - 1
         f = OrderElement(*((g + step // 2) % step - step // 2
                            + step * rng.randint(-spread, spread) for g in f.coords))
-        if not is_primitive_to_m(f, p):
+        if not reduce_mod_m(f, p).is_primitive():
             continue
         assert max(map(abs, f.coords)) <= 5 * p * p
         assert primary_prime_from(f, p) == PrimaryPrime(reference_primary_prime(f, p), p)

@@ -89,8 +89,6 @@ def test_unknown_name_raises_attribute_error_naming_it():
 
 
 def test_cli_layer_names_read_their_defining_module():
-    from quat1122 import euclid, factor, modm
+    from quat1122 import factor
 
-    assert cli.euclid is euclid
     assert cli.full_factor is factor.full_factor
-    assert cli.tau is modm.tau

@@ -3,7 +3,7 @@ from math import gcd as int_gcd
 
 import pytest
 
-from modm_reference import count_annihilator_enum
+from modm_reference import count_annihilator_enum, twice_matrix_units, xi
 from quat1122 import (
     MatrixModM,
     OrderElement,
@@ -13,13 +13,11 @@ from quat1122 import (
     count_norm1_enum,
     count_psi,
     count_psi_enum,
-    is_primitive_to_m,
     reduce_mod_m,
     solve_rs,
     tau,
     tau_inv,
     units,
-    xi_basis,
 )
 from quat1122.core import I, ONE, V3
 from quat1122.modm import SOLVE_RS_BOUND, iter_residues
@@ -128,19 +126,27 @@ def test_rsparams_validates():
 # -- the xi spanning set -----------------------------------------------------
 
 def test_xi_basis_example():
-    xb = xi_basis(RSParams(3, 1, 0))
-    assert xb.xi1 == ResidueElement(3, 1, 0, 1, 0)  # 1 + sqrt2 j mod 3
-    assert xb.xi2 == ResidueElement(3, 0, 1, 0, 2)
-    assert xb.xi4 == ResidueElement(3, 1, 0, 2, 0)
+    params = RSParams(3, 1, 0)
+    assert xi(params) == (ResidueElement(3, 1, 0, 1, 0),  # 1 + sqrt2 j mod 3
+                          ResidueElement(3, 0, 1, 0, 2),
+                          ResidueElement(3, 0, 2, 0, 2),
+                          ResidueElement(3, 1, 0, 2, 0))
+    assert xi(params) == tuple(tau_inv(e, params) for e in twice_matrix_units(3))
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 15])
 def test_xi_relations_validated_on_construction(m):
-    xb = xi_basis(solve_rs(m))
-    zero = ResidueElement.zero(m)
-    assert xb.xi2 * xb.xi2 == zero
-    assert xb.xi1 * xb.xi1 == xb.xi1.scale(2)
-    assert xb.xi2 * xb.xi3 == xb.xi1.scale(2)
+    # xi_k is tau_inv(2*E_k), so the xi's multiply as twice the matrix units:
+    # xi_(ij) * xi_(kl) = 2 * delta_jk * xi_(il), all sixteen products.
+    params = solve_rs(m)
+    xis = xi(params)
+    units2 = twice_matrix_units(m)
+    assert xis == tuple(tau_inv(e, params) for e in units2)
+    assert [tau(x, params) for x in xis] == units2
+    for (i, j), a in zip(((0, 0), (0, 1), (1, 0), (1, 1)), xis):
+        for (k, l), b in zip(((0, 0), (0, 1), (1, 0), (1, 1)), xis):
+            expected = xis[2 * i + l].scale(2) if j == k else ResidueElement.zero(m)
+            assert a * b == expected, (i, j, k, l)
 
 
 def test_xi_expansion_matches_tau_inv():
@@ -148,12 +154,12 @@ def test_xi_expansion_matches_tau_inv():
     rng = random.Random(43)
     for m in (3, 5, 7):
         params = solve_rs(m)
-        xb = xi_basis(params)
+        xi1, xi2, xi3, xi4 = xi(params)
         for _ in range(100):
             mat = MatrixModM(m, *(rng.randrange(m) for _ in range(4)))
             q = tau_inv(mat, params)
-            combo = (xb.xi1.scale(mat.a) + xb.xi2.scale(mat.b)
-                     + xb.xi3.scale(mat.c) + xb.xi4.scale(mat.d))
+            combo = (xi1.scale(mat.a) + xi2.scale(mat.b)
+                     + xi3.scale(mat.c) + xi4.scale(mat.d))
             assert q.scale(2) == combo
 
 
@@ -225,22 +231,25 @@ def test_units_distinct_mod_m(m):
 # -- primitivity -------------------------------------------------------------
 
 def test_is_primitive_to_m():
-    assert is_primitive_to_m(ONE, 3)
-    assert is_primitive_to_m(V3, 3)
-    assert not is_primitive_to_m(3 * V3, 3)
-    assert is_primitive_to_m(V3, 1)
-    with pytest.raises(ValueError):
-        is_primitive_to_m(V3, 6)
+    assert reduce_mod_m(ONE, 3).is_primitive()
+    assert reduce_mod_m(V3, 3).is_primitive()
+    assert not reduce_mod_m(3 * V3, 3).is_primitive()
+    assert reduce_mod_m(V3, 1).is_primitive()
+    assert not reduce_mod_m(OrderElement(15, 0, 5 * 10**29, 35), 45).is_primitive()
+    assert reduce_mod_m(OrderElement(15, 0, 5 * 10**29, 36), 45).is_primitive()
+    with pytest.raises(ValueError, match="^modulus must be odd and positive, got 6$"):
+        reduce_mod_m(V3, 6)
 
 
 def test_primitivity_agrees_in_both_coordinate_systems():
-    # basis-coordinate gcd and standard-coordinate gcd give the same answer
+    # the gcd with m of the basis coordinates and of the standard residue
+    # coordinates agree, composite m and coordinates up to 1e30 included
     rng = random.Random(46)
-    for m in (3, 9, 15):
+    for m in (3, 9, 15, 45, 105, 1001):
         for _ in range(200):
-            e = OrderElement(*(rng.randint(-30, 30) for _ in range(4)))
-            q = reduce_mod_m(e, m)
-            assert is_primitive_to_m(e, m) == (int_gcd(*q.coords, m) == 1)
+            d = rng.choice([1, 3, 5, 7, m])
+            e = OrderElement(*(d * rng.randint(-10**30, 10**30) for _ in range(4)))
+            assert reduce_mod_m(e, m).is_primitive() == (int_gcd(*e.coords, m) == 1)
 
 
 def test_primitivity_preserved_by_tau_exhaustive_m3():

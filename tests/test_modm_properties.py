@@ -7,7 +7,8 @@ examples.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quat1122 import OrderElement, reduce_mod_m, solve_rs, tau
+from modm_reference import twice_matrix_units, xi
+from quat1122 import OrderElement, reduce_mod_m, solve_rs, tau, tau_inv
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -27,3 +28,13 @@ def test_tau_is_a_ring_homomorphism(m, a, b):
     assert image(a * b) == image(a) * image(b)
     assert image(a + b) == image(a) + image(b)
     assert image(a).det() == a.norm() % m
+
+
+@PROFILE
+@given(odd_moduli)
+def test_xi_k_is_tau_inv_of_twice_the_matrix_units(m):
+    params = solve_rs(m)
+    units2 = twice_matrix_units(m)
+    assert xi(params) == tuple(tau_inv(e, params) for e in units2)
+    assert [tau(x, params) for x in xi(params)] == units2
+
