@@ -6,8 +6,8 @@ from quat1122 import (
     divide_by_1pi,
     is_odd,
     primary_associate,
-    primary_class,
     residue_mod_1pi,
+    residue_mod_2_1pi,
     valuation_1pi,
 )
 from quat1122.core import I, ONE, ONE_PLUS_I, V3, V4
@@ -34,4 +34,4 @@ print()
 # representative congruent to 1 or 1+2v3 mod 2(1+i).
 for b in (I, OrderElement(3, 0, 0, 0), OrderElement(1, 2, 2, 0)):
     u, c = primary_associate(b, "right")
-    print(f"{b} * {u} = {c}   class {primary_class(c).value}")
+    print(f"{b} * {u} = {c}   class {residue_mod_2_1pi(c)}")

@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Mod odd m the order becomes the full 2x2 matrix ring over Z/m."""
 
+from itertools import product
+
 from quat1122 import (
+    OrderElement,
     count_norm1,
     count_norm1_enum,
     count_psi,
@@ -12,7 +15,6 @@ from quat1122 import (
     tau_inv,
 )
 from quat1122.core import I, ONE, V3
-from quat1122.modm import iter_residues
 
 m = 7
 params = solve_rs(m)
@@ -39,4 +41,6 @@ for m in (3, 5, 9):
     print(f"{m:2}   {count_psi(m):11}  {count_psi_enum(m):8}   "
           f"{count_norm1(m):14}  {count_norm1_enum(m):11}")
 print()
-print(f"residue ring size at m=3: {sum(1 for _ in iter_residues(3))} = 3^4")
+# The lifts of [0, 3)^4 reduce to pairwise distinct residues.
+lifts = (OrderElement.from_standard(*q) for q in product(range(3), repeat=4))
+print(f"residue ring size at m=3: {len({reduce_mod_m(e, 3) for e in lifts})} = 3^4")

@@ -20,12 +20,10 @@ from importlib import import_module
 _EXPORTS = {
     "core": ("OrderElement", "format_half", "parse", "units"),
     "dyadic": (
-        "PrimaryClass",
         "divide_by_1pi",
         "is_odd",
         "is_primary",
         "primary_associate",
-        "primary_class",
         "residue_mod_1pi",
         "residue_mod_2",
         "residue_mod_2_1pi",

@@ -67,6 +67,8 @@ def _run_count(args) -> int:
     from . import repcount
 
     n = args.n
+    # The oracle goes first, so that an n past its bound is refused before sigma runs.
+    oracle = repcount.rep_count_oracle(n, args.restriction) if args.oracle else None
     result = repcount.rep_count_formula(n, args.restriction)
     formula = result.formula_count
     r, m = result.decomposition
@@ -77,9 +79,7 @@ def _run_count(args) -> int:
     payload = {"n": n, "restriction": args.restriction, "formula": formula,
                "decomposition": decomposition}
     lines = [f"count({n}, restriction={args.restriction}) = {formula}"]
-    oracle = None
     if args.oracle:
-        oracle = repcount.rep_count_oracle(n, args.restriction)
         payload["oracle"] = oracle
         lines.append(f"oracle({n}, restriction={args.restriction}) = {oracle}")
     _emit(args, payload, lines)

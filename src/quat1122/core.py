@@ -286,7 +286,6 @@ V3 = OrderElement(0, 0, 1, 0)
 V4 = OrderElement(0, 0, 0, 1)
 ONE_PLUS_I = OrderElement(1, 1, 0, 0)
 SQRT2_J = OrderElement(-1, -1, 2, 0)
-SQRT2_K = OrderElement(-1, -1, 0, 2)
 
 
 # The 24 units: +/- {v1, v2, v3, v4, v3-v1, v3-v2, v4-v3, v4-v1, v4-v2,

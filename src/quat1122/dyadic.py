@@ -15,7 +15,6 @@ when h = COSET_REPS_1PI[k] modulo (1+i).
 
 from __future__ import annotations
 
-import enum
 from typing import Literal
 
 from .core import I, ONE, UNITS_MOD_SIGN, V3, V4, ZERO, OrderElement
@@ -42,10 +41,9 @@ if len(_MOD2_LOOKUP) != 16:
 CANONICAL_RESIDUES_2_1PI = (ONE, -ONE, ONE_PLUS_2V3, -ONE_PLUS_2V3)
 
 
-class PrimaryClass(enum.Enum):
-    ONE = "one"
-    ONE_PLUS_2V3 = "one_plus_2v3"
-    NOT_PRIMARY = "not_primary"
+def _check_side(side: str) -> None:
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def is_odd(e: OrderElement) -> bool:
@@ -75,8 +73,9 @@ def divide_by_1pi(e: OrderElement, side: Literal["left", "right"] = "right") -> 
     """The exact cofactor h with e = h*(1+i) ("right") or e = (1+i)*h ("left").
 
     Raises:
-        ValueError: norm(e) is odd, so 1+i does not divide e.
+        ValueError: norm(e) is odd, so 1+i does not divide e; or a bad side.
     """
+    _check_side(side)
     if is_odd(e):
         raise ValueError(f"{e} has odd norm; not divisible by 1+i")
     product = e * ONE_MINUS_I if side == "right" else ONE_MINUS_I * e
@@ -108,16 +107,9 @@ def residue_mod_2(e: OrderElement) -> OrderElement:
     return _MOD2_LOOKUP[tuple(g % 2 for g in e.coords)]
 
 
-def primary_class(e: OrderElement) -> PrimaryClass:
-    """Classify e modulo 2*(1+i) as 1, as 1 + 2*v3, or as neither."""
-    k = _class_2_1pi(e)  # the primary classes are 1 and 1 + 2*v3, at index 0 and 2
-    if k in (0, 2):
-        return PrimaryClass.ONE if k == 0 else PrimaryClass.ONE_PLUS_2V3
-    return PrimaryClass.NOT_PRIMARY
-
-
 def is_primary(e: OrderElement) -> bool:
-    return primary_class(e) is not PrimaryClass.NOT_PRIMARY
+    """True when e = 1 or 1 + 2*v3 modulo 2*(1+i) (indices 0 and 2 of the classes)."""
+    return _class_2_1pi(e) in (0, 2)
 
 
 def primary_associate(
@@ -130,9 +122,11 @@ def primary_associate(
     c primary.  Both facts are checked at runtime.
 
     Raises:
-        ValueError: b has even norm (only odd elements have primary associates).
+        ValueError: b has even norm (only odd elements have primary associates),
+            or a bad side.
         ArithmeticError: the congruence or the uniqueness fails (impossible).
     """
+    _check_side(side)
     if not is_odd(b):
         raise ValueError(f"{b} has even norm; no primary associate exists")
     u = residue_mod_2(b.conjugate())

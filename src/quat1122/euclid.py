@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Literal
 
 from .core import OrderElement, Record, half_product, units
-from .dyadic import primary_associate
+from .dyadic import _check_side, primary_associate
 
 Side = Literal["left", "right"]
 
@@ -47,11 +47,6 @@ class GcdResult(Record):
     gcd: OrderElement
     cofactors: tuple[OrderElement, OrderElement]
     side: Side
-
-
-def _check_side(side: str) -> None:
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def _sub(u, v) -> tuple[int, int, int, int]:

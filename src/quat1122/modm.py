@@ -4,13 +4,14 @@ For odd m every element of the order is congruent mod m to a unique
 
     q1 + q2*i + q3*sqrt(2)j + q4*sqrt(2)k,     0 <= q_i < m,
 
-so the quotient ring has m^4 elements.  Picking (r, s) with
-2^-1 + r^2 + s^2 = 0 (mod m) yields a ring isomorphism tau onto the full
-matrix ring M_2(Z/m) that carries the norm to the determinant; the
-paper's xi_1..xi_4 are tau_inv(2 E_k) for the matrix units E_k.  The
-counting functions at the bottom give the number of residues that are
-primitive to m with norm divisible by m (psi) and the number with norm
-congruent to 1, each with an exact formula and an exhaustive enumerator.
+so the quotient ring has m^4 elements, ResidueElement(m, *q) for q in
+product(range(m), repeat=4); OrderElement.from_standard(*q.coords) lifts one
+back.  Picking (r, s) with 2^-1 + r^2 + s^2 = 0 (mod m) yields a ring
+isomorphism tau onto the full matrix ring M_2(Z/m) that carries the norm to
+the determinant; the paper's xi_1..xi_4 are tau_inv(2 E_k) for the matrix
+units E_k.  The counting functions at the bottom give the number of residues
+that are primitive to m with norm divisible by m (psi) and the number with
+norm congruent to 1, each with an exact formula and an exhaustive enumerator.
 """
 
 from __future__ import annotations
@@ -66,10 +67,6 @@ class ResidueElement(_ModM):
     q3: int
     q4: int
 
-    @classmethod
-    def zero(cls, m: int) -> "ResidueElement":
-        return cls.make(m, 0, 0, 0, 0)
-
     @property
     def coords(self) -> tuple[int, int, int, int]:
         return (self.q1, self.q2, self.q3, self.q4)
@@ -91,10 +88,6 @@ class ResidueElement(_ModM):
         q1, q2, q3, q4 = self.coords
         return (q1 * q1 + q2 * q2 + 2 * q3 * q3 + 2 * q4 * q4) % self.m
 
-    def lift(self) -> OrderElement:
-        """The canonical preimage in the order (integral, coordinates in [0, m))."""
-        return OrderElement.from_half(2 * self.q1, 2 * self.q2, 2 * self.q3, 2 * self.q4)
-
 
 def reduce_mod_m(e: OrderElement, m: int) -> ResidueElement:
     """Reduce an element of the order into the canonical residue system mod odd m.
@@ -109,16 +102,6 @@ def reduce_mod_m(e: OrderElement, m: int) -> ResidueElement:
     A = 2 * e.g1 + g3 + g4
     B = 2 * e.g2 + g3 + g4
     return ResidueElement.make(m, A // 2, B // 2, g3 // 2, g4 // 2)
-
-
-def iter_residues(m: int):
-    """All m^4 residues mod m, lexicographic in (q1, q2, q3, q4)."""
-    _check_odd_modulus(m)
-    for q1 in range(m):
-        for q2 in range(m):
-            for q3 in range(m):
-                for q4 in range(m):
-                    yield ResidueElement(m, q1, q2, q3, q4)
 
 
 class RSParams(Record):
@@ -167,10 +150,6 @@ class MatrixModM(_ModM):
     b: int
     c: int
     d: int
-
-    @classmethod
-    def identity(cls, m: int) -> "MatrixModM":
-        return cls.make(m, 1, 0, 0, 1)
 
     @property
     def entries(self) -> tuple[int, int, int, int]:

@@ -124,10 +124,11 @@ def rep_count_oracle(n: int, restriction: str = "none") -> int:
     """
     if n < 1:
         raise ValueError(f"oracle is defined for n >= 1, got {n}")
+    rule = _split_shaped(n, restriction)[0]  # shape before bound, for count --oracle
     if n > ORACLE_BOUND:
         raise ValueError(f"n = {n} exceeds the oracle bound {ORACLE_BOUND}")
     total = 0
-    for px, py, pz, pw in _split_shaped(n, restriction)[0].patterns:
+    for px, py, pz, pw in rule.patterns:
         zw = _square_sums(n, pz, pw, 2)
         for t, c in _square_sums(n, px, py, 1).items():
             total += c * zw.get(n - t, 0)

@@ -2,7 +2,8 @@
 
 e lies in the ideal 2(1+i) exactly when e/2 is exact in coordinates and
 1+i divides e/2, i.e. norm(e/2) is even.  Classes are decided by
-subtracting each representative and testing that.  Only core arithmetic
+subtracting each representative and testing that; e is primary when it
+lies in the class of 1 or of 1 + 2*v3.  Only core arithmetic
 (subtraction, norm) is used, nothing from ``quat1122.dyadic``.
 
 ``unit_congruences_mod2`` is a search the library no longer needs.  It
@@ -10,7 +11,7 @@ reads the library's residues mod 2, and the tests check it against a scan
 of the 24 units.
 """
 
-from quat1122 import OrderElement, PrimaryClass, residue_mod_2
+from quat1122 import OrderElement, residue_mod_2
 
 ONE = OrderElement(1, 0, 0, 0)
 ONE_PLUS_2V3 = OrderElement(1, 0, 2, 0)
@@ -30,16 +31,8 @@ def residue(e):
     return None
 
 
-def primary_class(e):
-    if in_ideal(e - ONE):
-        return PrimaryClass.ONE
-    if in_ideal(e - ONE_PLUS_2V3):
-        return PrimaryClass.ONE_PLUS_2V3
-    return PrimaryClass.NOT_PRIMARY
-
-
 def is_primary(e):
-    return primary_class(e) is not PrimaryClass.NOT_PRIMARY
+    return in_ideal(e - ONE) or in_ideal(e - ONE_PLUS_2V3)
 
 
 def unit_congruences_mod2(b):

@@ -8,9 +8,10 @@ rank-1 matrix over Z/p, so exactly p^2 residues x satisfy x*f = 0.  The
 search below counts them over all p^4 residues.
 """
 
+from itertools import product
+
 from quat1122 import MatrixModM, ResidueElement
 from quat1122.intarith import is_prime
-from quat1122.modm import iter_residues
 
 
 def xi(params):
@@ -44,5 +45,5 @@ def count_annihilator_enum(f, p):
         raise ValueError(f"{f} is not primitive to {p}")
     if f.norm() % p:
         raise ValueError(f"norm of {f} is not divisible by {p}")
-    zero = ResidueElement.zero(p)
-    return sum(1 for x in iter_residues(p) if x * f == zero)
+    zero = ResidueElement.make(p, 0, 0, 0, 0)
+    return sum(1 for x in product(range(p), repeat=4) if ResidueElement(p, *x) * f == zero)

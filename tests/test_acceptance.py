@@ -8,6 +8,7 @@ code with the formulas they check.
 
 import random
 import time
+from itertools import product
 
 from modm_reference import count_annihilator_enum
 from quat1122 import (
@@ -38,7 +39,7 @@ from quat1122 import (
 from quat1122.core import ONE_PLUS_I
 from quat1122.factor import is_primitive
 from quat1122.intarith import factorize
-from quat1122.modm import ResidueElement, iter_residues
+from quat1122.modm import ResidueElement
 
 
 def _ok(num, text):
@@ -124,7 +125,7 @@ def test_criterion_06_units():
 def test_criterion_07_matrix_correspondence():
     """tau is a bijective ring map with det = norm; psi and norm-1 counts match."""
     params3 = solve_rs(3)
-    residues3 = list(iter_residues(3))
+    residues3 = [ResidueElement(3, *q) for q in product(range(3), repeat=4)]
     images = set()
     for a in residues3:
         images.add(tau(a, params3).entries)
@@ -161,7 +162,8 @@ def test_criterion_08_prime_counts():
     for p in (3, 5):
         assert len(enumerate_norm_solutions(p)) == 24 * (p + 1), f"p={p}"
     p = 3
-    valid = [f for f in iter_residues(p) if f.is_primitive() and f.norm() % p == 0]
+    residues = (ResidueElement(p, *q) for q in product(range(p), repeat=4))
+    valid = [f for f in residues if f.is_primitive() and f.norm() % p == 0]
     assert len(valid) == count_psi(p)
     for f in valid:
         assert count_annihilator_enum(f, p) == p * p

@@ -57,6 +57,8 @@ def test_count_inconsistent_restriction(capsys):
 #: Inputs past a stated bound, each refused up front: (argv, bound in stderr).
 LARGE_INPUTS = {
     "count": (["count", "100000000000000000039"], "bound 1000000000000000"),
+    # below the count bound but above the oracle's: refused before sigma runs
+    "count-oracle": (["count", "999999999999989", "--oracle"], "oracle bound 1000000"),
     "tau": (["tau", "-m", "99999999977", "[0,1,0,0]"], "bound 10000000"),
     "primes": (["primes", "-p", "999983"], "bound 20000"),
     "verify": (["verify", "--max-n", "1000000000"], "bound 200000"),

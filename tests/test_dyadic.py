@@ -7,12 +7,12 @@ import dyadic_reference as ref
 from dyadic_reference import unit_congruences_mod2
 from quat1122 import (
     OrderElement,
-    PrimaryClass,
+    div_rem,
     divide_by_1pi,
+    gcd,
     is_odd,
     is_primary,
     primary_associate,
-    primary_class,
     residue_mod_1pi,
     residue_mod_2,
     residue_mod_2_1pi,
@@ -211,9 +211,10 @@ def test_everything_congruent_one_mod_2_is_classified():
 
 
 def test_primary_class_examples():
-    assert primary_class(ONE) is PrimaryClass.ONE
-    assert primary_class(ONE_PLUS_2V3) is PrimaryClass.ONE_PLUS_2V3
-    assert primary_class(I) is PrimaryClass.NOT_PRIMARY
+    assert residue_mod_2_1pi(ONE) == ONE and is_primary(ONE)
+    assert residue_mod_2_1pi(ONE_PLUS_2V3) == ONE_PLUS_2V3 and is_primary(ONE_PLUS_2V3)
+    assert residue_mod_2_1pi(I) is None and not is_primary(I)
+    assert residue_mod_2_1pi(OrderElement(3, 0, 0, 0)) == -ONE
     assert not is_primary(OrderElement(3, 0, 0, 0))
 
 
@@ -255,7 +256,6 @@ def test_classifier_matches_reference():
     for e in classifier_inputs():
         rep = ref.residue(e)
         assert residue_mod_2_1pi(e) == rep, e
-        assert primary_class(e) is ref.primary_class(e), e
         assert is_primary(e) == ref.is_primary(e), e
         assert in_ideal_2_1pi(e) == ref.in_ideal(e), e
         # the previous input, and a congruent partner whenever e has a class
@@ -292,6 +292,22 @@ def test_primary_associate_rejects_even():
         primary_associate(ONE_PLUS_I, "right")
 
 
+# every one-sided function refuses a side other than "left" and "right"
+SIDED_CALLS = {
+    "divide_by_1pi": lambda side: divide_by_1pi(ONE_PLUS_I, side),
+    "primary_associate": lambda side: primary_associate(ONE, side),
+    "div_rem": lambda side: div_rem(V3, ONE_PLUS_I, side),
+    "gcd": lambda side: gcd(V3, ONE_PLUS_I, side),
+}
+
+
+@pytest.mark.parametrize("call", SIDED_CALLS.values(), ids=SIDED_CALLS.keys())
+def test_misspelt_side_is_refused(call):
+    for side in ("rihgt", "sideways", "Left", ""):
+        with pytest.raises(ValueError, match=f"side must be 'left' or 'right', got {side!r}"):
+            call(side)
+
+
 def test_exactly_one_associate_is_primary():
     rng = random.Random(30)
     for _ in range(100):
@@ -320,7 +336,7 @@ def test_conjugate_of_primary():
     # class 1 conjugates stay primary; class 1+2v3 needs the sign flip
     primaries = [e for e in box(3) if is_primary(e)]
     for e in primaries:
-        if primary_class(e) is PrimaryClass.ONE:
+        if residue_mod_2_1pi(e) == ONE:
             assert is_primary(e.conjugate())
         else:
             assert is_primary(-e.conjugate())

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -20,12 +21,13 @@ from quat1122 import (
 from quat1122.core import I, ONE, ONE_PLUS_I, V3, ZERO
 from quat1122.factor import is_primitive
 from quat1122.intarith import FACTOR_BOUND, is_prime
-from quat1122.modm import iter_residues, reduce_mod_m
+from quat1122.modm import ResidueElement, reduce_mod_m
 
 
 def primitive_residue_reps(p):
     """Order elements representing the residues primitive to p with norm = 0 mod p."""
-    return [q.lift() for q in iter_residues(p)
+    residues = (ResidueElement(p, *q) for q in product(range(p), repeat=4))
+    return [OrderElement.from_standard(*q.coords) for q in residues
             if q.is_primitive() and q.norm() % p == 0]
 
 
@@ -145,9 +147,9 @@ def test_prime_from_fibers():
     # the map onto primary primes of norm p has p+1 fibers of size p^2 - 1
     for p in (3, 5):
         fibers = {}
-        for q in iter_residues(p):
+        for q in (ResidueElement(p, *c) for c in product(range(p), repeat=4)):
             if q.is_primitive() and q.norm() % p == 0:
-                pi = primary_prime_from(q.lift(), p)
+                pi = primary_prime_from(OrderElement.from_standard(*q.coords), p)
                 fibers.setdefault(pi, []).append(q)
         assert len(fibers) == p + 1
         assert all(len(v) == p * p - 1 for v in fibers.values())

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import gcd as int_gcd
 
 import pytest
@@ -20,7 +21,7 @@ from quat1122 import (
     units,
 )
 from quat1122.core import I, ONE, V3
-from quat1122.modm import SOLVE_RS_BOUND, iter_residues
+from quat1122.modm import SOLVE_RS_BOUND
 
 
 def rand_residue(rng, m):
@@ -31,11 +32,11 @@ def rand_residue(rng, m):
 
 def test_reduce_examples():
     assert reduce_mod_m(V3, 3).coords == (2, 2, 2, 0)
-    assert reduce_mod_m(OrderElement(0, 0, 0, 0), 5) == ResidueElement.zero(5)
+    assert reduce_mod_m(OrderElement(0, 0, 0, 0), 5) == ResidueElement.make(5, 0, 0, 0, 0)
     rng = random.Random(40)
     for _ in range(50):
         e = OrderElement(*(rng.randint(-20, 20) for _ in range(4)))
-        assert reduce_mod_m(5 * e, 5) == ResidueElement.zero(5)
+        assert reduce_mod_m(5 * e, 5) == ResidueElement.make(5, 0, 0, 0, 0)
 
 
 def test_reduce_rejects_even_m():
@@ -58,22 +59,23 @@ def test_residue_lift_round_trip():
     for m in (3, 7):
         for _ in range(50):
             q = rand_residue(rng, m)
-            assert reduce_mod_m(q.lift(), m) == q
-            assert q.lift().norm() % m == q.norm()
+            lift = OrderElement.from_standard(*q.coords)
+            assert reduce_mod_m(lift, m) == q
+            assert lift.norm() % m == q.norm()
 
 
 def test_residues_are_distinct_mod_m():
-    # the m^4 listed residues really are pairwise incongruent: their lifts
-    # differ by something with a coordinate not divisible by m
+    # the m^4 residues in [0, m)^4 really are pairwise incongruent: their
+    # lifts differ by something with a coordinate not divisible by m
     m = 3
-    lifts = [q.lift() for q in iter_residues(m)]
+    lifts = [OrderElement.from_standard(*q) for q in product(range(m), repeat=4)]
     assert len(lifts) == m**4
     seen = {tuple(g % m for g in e.coords) for e in lifts}
     assert len(seen) == m**4
 
 
 def test_m_equals_one():
-    assert reduce_mod_m(V3, 1) == ResidueElement.zero(1)
+    assert reduce_mod_m(V3, 1) == ResidueElement.make(1, 0, 0, 0, 0)
     assert count_psi(1) == count_psi_enum(1) == 1
     assert count_norm1(1) == count_norm1_enum(1) == 1
 
@@ -143,9 +145,10 @@ def test_xi_relations_validated_on_construction(m):
     units2 = twice_matrix_units(m)
     assert xis == tuple(tau_inv(e, params) for e in units2)
     assert [tau(x, params) for x in xis] == units2
+    zero = ResidueElement.make(m, 0, 0, 0, 0)
     for (i, j), a in zip(((0, 0), (0, 1), (1, 0), (1, 1)), xis):
         for (k, l), b in zip(((0, 0), (0, 1), (1, 0), (1, 1)), xis):
-            expected = xis[2 * i + l].scale(2) if j == k else ResidueElement.zero(m)
+            expected = xis[2 * i + l].scale(2) if j == k else zero
             assert a * b == expected, (i, j, k, l)
 
 
@@ -167,7 +170,7 @@ def test_xi_expansion_matches_tau_inv():
 
 def test_tau_of_one_is_identity():
     for m in (3, 5, 7):
-        assert tau(reduce_mod_m(ONE, m), solve_rs(m)) == MatrixModM.identity(m)
+        assert tau(reduce_mod_m(ONE, m), solve_rs(m)) == MatrixModM.make(m, 1, 0, 0, 1)
 
 
 def test_tau_example_at_explicit_params():
@@ -190,7 +193,7 @@ def test_tau_is_ring_homomorphism(m):
 def test_tau_bijective_exhaustive_m3():
     params = solve_rs(3)
     images = set()
-    for q in iter_residues(3):
+    for q in (ResidueElement(3, *c) for c in product(range(3), repeat=4)):
         mat = tau(q, params)
         images.add(mat.entries)
         assert tau_inv(mat, params) == q
@@ -205,7 +208,7 @@ def test_tau_bijective_exhaustive_m3():
 
 def test_det_equals_norm():
     params = solve_rs(3)
-    for q in iter_residues(3):
+    for q in (ResidueElement(3, *c) for c in product(range(3), repeat=4)):
         assert tau(q, params).det() == q.norm()
     rng = random.Random(45)
     for m in (5, 7):
@@ -219,7 +222,7 @@ def test_tau_rejects_mismatched_moduli():
     with pytest.raises(ValueError):
         tau(reduce_mod_m(ONE, 3), solve_rs(5))
     with pytest.raises(ValueError):
-        tau_inv(MatrixModM.identity(3), solve_rs(5))
+        tau_inv(MatrixModM.make(3, 1, 0, 0, 1), solve_rs(5))
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9])
@@ -254,7 +257,7 @@ def test_primitivity_agrees_in_both_coordinate_systems():
 
 def test_primitivity_preserved_by_tau_exhaustive_m3():
     params = solve_rs(3)
-    for q in iter_residues(3):
+    for q in (ResidueElement(3, *c) for c in product(range(3), repeat=4)):
         assert q.is_primitive() == tau(q, params).is_primitive()
 
 
@@ -291,7 +294,7 @@ def test_even_m_rejected():
 
 def test_annihilator_count_p3():
     p = 3
-    valid = [q for q in iter_residues(p)
+    valid = [q for q in (ResidueElement(p, *c) for c in product(range(p), repeat=4))
              if q.is_primitive() and q.norm() % p == 0]
     assert len(valid) == count_psi(p)
     for f in valid:
@@ -301,7 +304,7 @@ def test_annihilator_count_p3():
 def test_annihilator_count_p5_spot():
     p = 5
     rng = random.Random(47)
-    valid = [q for q in iter_residues(p)
+    valid = [q for q in (ResidueElement(p, *c) for c in product(range(p), repeat=4))
              if q.is_primitive() and q.norm() % p == 0]
     for f in rng.sample(valid, 5):
         assert count_annihilator_enum(f, p) == p * p
@@ -309,6 +312,6 @@ def test_annihilator_count_p5_spot():
 
 def test_annihilator_rejects_bad_input():
     with pytest.raises(ValueError):
-        count_annihilator_enum(ResidueElement.zero(3), 3)  # not primitive
+        count_annihilator_enum(ResidueElement.make(3, 0, 0, 0, 0), 3)  # not primitive
     with pytest.raises(ValueError):
         count_annihilator_enum(ResidueElement(3, 1, 0, 0, 0), 3)  # norm 1
