@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from typing import TYPE_CHECKING
@@ -265,13 +266,19 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+    except BrokenPipeError:
+        # Python's documented recipe: the flush at exit then writes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
+    return status
 
 
 if __name__ == "__main__":

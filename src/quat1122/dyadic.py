@@ -11,10 +11,13 @@ representatives used throughout factorization and counting.  The class is
 read off the coordinates: e = 1 (mod 2) exactly when g1 is odd and g2, g3,
 g4 are even, and then e = 1 + 2h lies in class k of CANONICAL_RESIDUES_2_1PI
 when h = COSET_REPS_1PI[k] modulo (1+i).
+
+One rule, ``_sided``, orders every one-sided product: x*y right, y*x left.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Literal
 
 from .core import I, ONE, UNITS_MOD_SIGN, V3, V4, ZERO, OrderElement
@@ -41,9 +44,11 @@ if len(_MOD2_LOOKUP) != 16:
 CANONICAL_RESIDUES_2_1PI = (ONE, -ONE, ONE_PLUS_2V3, -ONE_PLUS_2V3)
 
 
-def _check_side(side: str) -> None:
+def _sided(side: str, product=operator.mul):
+    # The one side rule: x*y on the right, y*x on the left.
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return product if side == "right" else lambda x, y: product(y, x)
 
 
 def is_odd(e: OrderElement) -> bool:
@@ -75,11 +80,10 @@ def divide_by_1pi(e: OrderElement, side: Literal["left", "right"] = "right") -> 
     Raises:
         ValueError: norm(e) is odd, so 1+i does not divide e; or a bad side.
     """
-    _check_side(side)
+    mul = _sided(side)
     if is_odd(e):
         raise ValueError(f"{e} has odd norm; not divisible by 1+i")
-    product = e * ONE_MINUS_I if side == "right" else ONE_MINUS_I * e
-    g1, g2, g3, g4 = product.coords
+    g1, g2, g3, g4 = mul(e, ONE_MINUS_I).coords
     if (g1 | g2 | g3 | g4) & 1:
         raise ArithmeticError(f"even-norm element {e} not divisible by 1+i")
     return OrderElement(g1 >> 1, g2 >> 1, g3 >> 1, g4 >> 1)
@@ -126,11 +130,11 @@ def primary_associate(
             or a bad side.
         ArithmeticError: the congruence or the uniqueness fails (impossible).
     """
-    _check_side(side)
+    mul = _sided(side)
     if not is_odd(b):
         raise ValueError(f"{b} has even norm; no primary associate exists")
     u = residue_mod_2(b.conjugate())
-    c = b * u if side == "right" else u * b
+    c = mul(b, u)
     if _class_2_1pi(c) is None:
         raise ArithmeticError(f"{b} times {u} ({side}) is not 1 mod 2")
     primary = is_primary(c)

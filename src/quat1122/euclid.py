@@ -13,7 +13,8 @@ numerator, decodes the quotient, multiplies back and checks the remainder,
 with every product through ``core.half_product`` and its exact halving.
 ``div_rem`` is one step between elements.  ``gcd`` runs its whole loop,
 Bezout cofactors included, on tuples, and builds elements (through
-``OrderElement.from_half`` and its parity check) only for its result.
+``OrderElement.from_half`` and its parity check) only for its result.  Each
+one-sided product, on tuples or elements, goes through ``dyadic._sided``.
 
 GCDs carry Bezout data.  For the right GCD d of (a, b):
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 from typing import Literal
 
 from .core import OrderElement, Record, half_product, units
-from .dyadic import _check_side, primary_associate
+from .dyadic import _sided, primary_associate
 
 Side = Literal["left", "right"]
 
@@ -59,9 +60,8 @@ def _step(a, b, side: Side):
     # a*conj(b) (conj(b)*a) as the best of the four coset points.
     A, B, C, D = b
     nb = (A * A + B * B + 2 * (C * C + D * D)) >> 2
-    conj_b = (A, -B, -C, -D)
-    right = side == "right"
-    H = half_product(a, conj_b) if right else half_product(conj_b, a)
+    mul = _sided(side, half_product)
+    H = mul(a, (A, -B, -C, -D))
     # x = p + 2*ceil((h/nb - p - 1)/2) is the integer of parity p nearest to
     # h/nb, the lower one on a tie; x*nb - h is its error.  No tie is lost:
     # were the least-coordinate quotient of least norm(r) an upper tie in A
@@ -83,7 +83,7 @@ def _step(a, b, side: Side):
         key = (ea + eb + 2 * (ec + ed), (xa - xc - xd) >> 1, (xb - xc - xd) >> 1, xc, xd)
         if best is None or key < best:
             best, q = key, (xa, xb, xc, xd)
-    r = _sub(a, half_product(q, b) if right else half_product(b, q))
+    r = _sub(a, mul(q, b))
     RA, RB, RC, RD = r
     nr = (RA * RA + RB * RB + 2 * (RC * RC + RD * RD)) >> 2
     if nr >= nb:
@@ -105,7 +105,7 @@ def div_rem(a: OrderElement, b: OrderElement, side: Side = "right") -> DivisionR
         ArithmeticError: norm(r) >= norm(b) (cannot happen in a
             norm-Euclidean ring; kept as a runtime check).
     """
-    _check_side(side)
+    _sided(side)  # a bad side is refused before a zero divisor
     if b.is_zero:
         raise ZeroDivisionError("division by zero quaternion")
     q, r = _step(a.half_coords, b.half_coords, side)
@@ -116,18 +116,13 @@ def _normalize(d: OrderElement, x: OrderElement, y: OrderElement, side: Side):
     # Associates preserving the divisor side: u*d for a right gcd, d*u for a
     # left gcd.  Odd gcds get their unique primary associate; even ones the
     # lexicographically smallest coordinate tuple.
+    mul = _sided(side)
     if d.norm() % 2 == 1:
         w, c = primary_associate(d, "left" if side == "right" else "right")
     else:
-        if side == "right":
-            w = min(units(), key=lambda u: (u * d).coords)
-            c = w * d
-        else:
-            w = min(units(), key=lambda u: (d * u).coords)
-            c = d * w
-    if side == "right":
-        return c, w * x, w * y
-    return c, x * w, y * w
+        w = min(units(), key=lambda u: mul(u, d).coords)
+        c = mul(w, d)
+    return c, mul(w, x), mul(w, y)
 
 
 def gcd(a: OrderElement, b: OrderElement, side: Side = "right") -> GcdResult:
@@ -141,18 +136,14 @@ def gcd(a: OrderElement, b: OrderElement, side: Side = "right") -> GcdResult:
     Raises:
         ValueError: both arguments are zero.
     """
-    _check_side(side)
+    mul = _sided(side, half_product)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     r0, x0, y0 = a.half_coords, _ONE, _ZERO
     r1, x1, y1 = b.half_coords, _ZERO, _ONE
     while any(r1):
         q, r = _step(r0, r1, side)
-        if side == "right":
-            qx, qy = half_product(q, x1), half_product(q, y1)
-        else:
-            qx, qy = half_product(x1, q), half_product(y1, q)
-        r0, x0, y0, r1, x1, y1 = r1, x1, y1, r, _sub(x0, qx), _sub(y0, qy)
+        r0, x0, y0, r1, x1, y1 = r1, x1, y1, r, _sub(x0, mul(q, x1)), _sub(y0, mul(q, y1))
     d, x, y = (OrderElement.from_half(*h) for h in (r0, x0, y0))
     d, x, y = _normalize(d, x, y, side)
     return GcdResult(d, (x, y), side)

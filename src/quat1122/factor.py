@@ -10,7 +10,8 @@ rational primes:
 
 The primary prime attached to a given norm-p slot is extracted as a
 one-sided GCD with p, which the Euclidean layer normalizes to its primary
-associate.
+associate.  One step, ``_prime_gcd``, does this on either side, and
+factor_primitive divides each prime off with ``euclid.div_rem``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import gcd as int_gcd
 
 from .core import ONE, ONE_PLUS_I, OrderElement, Record
 from .dyadic import is_primary, primary_associate, valuation_1pi
-from .euclid import gcd as quat_gcd
+from .euclid import div_rem, gcd as quat_gcd
 from .intarith import factorize, is_prime
 from .modm import reduce_mod_m
 from .repcount import ENUMERATION_BOUND, enumerate_norm_solutions
@@ -107,12 +108,20 @@ def primary_prime_from(f: OrderElement, p: int) -> PrimaryPrime:
         raise ValueError(f"{f} is not primitive to {p}")
     if f.norm() % p:
         raise ValueError(f"norm {f.norm()} of {f} is not divisible by {p}")
-    g = quat_gcd(f, OrderElement(p, 0, 0, 0), side="right").gcd
+    return _prime_gcd(f, p, "right")
+
+
+def _prime_gcd(f: OrderElement, p: int, side: str) -> PrimaryPrime:
+    # The one prime step: the primary gcd of f with p on the given side, of norm p.
+    g = quat_gcd(f, OrderElement(p, 0, 0, 0), side).gcd
     if g.norm() != p:
-        raise ArithmeticError(
-            f"right gcd of {f} and {p} has norm {g.norm()}, expected {p}"
-        )
+        raise ArithmeticError(f"{side} gcd of {f} and {p} has norm {g.norm()}, expected {p}")
     return PrimaryPrime(g, p)
+
+
+def _prime_order(n: int) -> list[int]:
+    # The rational prime factors of n with multiplicity, increasing.
+    return sorted(p for p, e in factorize(n).items() for _ in range(e))
 
 
 def p_conjugate(pi: PrimaryPrime) -> PrimaryPrime:
@@ -149,47 +158,34 @@ def is_primitive(c: OrderElement) -> bool:
     return is_primary(c) and int_gcd(*c.coords) == 1
 
 
-def _exact_left_divide(pi: OrderElement, c: OrderElement) -> OrderElement:
-    # h with c = pi * h, via conj(pi) * c / norm(pi); exactness asserted.
-    num = pi.conjugate() * c
-    n = pi.norm()
-    if any(g % n for g in num.coords):
-        raise ArithmeticError(f"{pi} does not left-divide {c}")
-    return OrderElement(*(g // n for g in num.coords))
-
-
 def factor_primitive(c: OrderElement, prime_order: list[int]) -> list[PrimaryPrime]:
     """Factor a primitive element into primary primes following prime_order.
 
     prime_order must list the rational prime factorization of norm(c), with
     multiplicity, in the desired left-to-right order; any ordering works.
     Each step takes the primary left GCD of the running cofactor with the
-    next prime and divides it off on the left.
+    next prime and divides it off on the left with div_rem's exact quotient.
 
     Raises:
         ValueError: c not primitive, or prime_order inconsistent with norm(c).
-        ArithmeticError: a peeled GCD has the wrong norm or the final
-            cofactor differs from 1 (fatal invariant violations).
+        ArithmeticError: a peeled GCD has the wrong norm or leaves a remainder,
+            or the final cofactor is not 1 (fatal invariant violations).
     """
     if not is_primitive(c):
         raise ValueError(f"{c} is not primitive (primary with coprime coordinates)")
-    expected = sorted(
-        p for p, e in factorize(c.norm()).items() for _ in range(e)
-    )
-    if sorted(prime_order) != expected:
+    if sorted(prime_order) != _prime_order(c.norm()):
         raise ValueError(
             f"prime order {prime_order} does not factor norm {c.norm()}"
         )
     out: list[PrimaryPrime] = []
     cofactor = c
     for p in prime_order:
-        g = quat_gcd(cofactor, OrderElement(p, 0, 0, 0), side="left").gcd
-        if g.norm() != p:
-            raise ArithmeticError(
-                f"left gcd with {p} has norm {g.norm()} while factoring {c}"
-            )
-        out.append(PrimaryPrime(g, p))
-        cofactor = _exact_left_divide(g, cofactor)
+        pi = _prime_gcd(cofactor, p, "left")
+        out.append(pi)
+        division = div_rem(cofactor, pi.element, "left")
+        if not division.remainder.is_zero:
+            raise ArithmeticError(f"{pi.element} does not left-divide {cofactor}")
+        cofactor = division.quotient
     if cofactor != ONE:
         raise ArithmeticError(f"factorization of {c} left cofactor {cofactor}, not 1")
     return out
@@ -213,8 +209,5 @@ def full_factor(x: OrderElement) -> Factorization:
     primitive_part = OrderElement(*(sign * g // content for g in c.coords))
     if not is_primary(primitive_part):
         raise ArithmeticError(f"{primitive_part} is not primary while factoring {x}")
-    prime_order = sorted(
-        p for p, e in factorize(primitive_part.norm()).items() for _ in range(e)
-    )
-    primes = factor_primitive(primitive_part, prime_order)
+    primes = factor_primitive(primitive_part, _prime_order(primitive_part.norm()))
     return Factorization(r=r, unit=unit, sign=sign, content=content, primes=tuple(primes))

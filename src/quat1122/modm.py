@@ -5,13 +5,14 @@ For odd m every element of the order is congruent mod m to a unique
     q1 + q2*i + q3*sqrt(2)j + q4*sqrt(2)k,     0 <= q_i < m,
 
 so the quotient ring has m^4 elements, ResidueElement(m, *q) for q in
-product(range(m), repeat=4); OrderElement.from_standard(*q.coords) lifts one
-back.  Picking (r, s) with 2^-1 + r^2 + s^2 = 0 (mod m) yields a ring
-isomorphism tau onto the full matrix ring M_2(Z/m) that carries the norm to
-the determinant; the paper's xi_1..xi_4 are tau_inv(2 E_k) for the matrix
-units E_k.  The counting functions at the bottom give the number of residues
-that are primitive to m with norm divisible by m (psi) and the number with
-norm congruent to 1, each with an exact formula and an exhaustive enumerator.
+product(range(m), repeat=4); reduce_mod_m halves the half coordinates mod m,
+and OrderElement.from_standard(*q.coords) lifts a residue back.  Picking
+(r, s) with 2^-1 + r^2 + s^2 = 0 (mod m) yields a ring isomorphism tau onto
+the full matrix ring M_2(Z/m) that carries the norm to the determinant; the
+paper's xi_1..xi_4 are tau_inv(2 E_k) for the matrix units E_k.  The
+counting functions at the bottom give the number of residues that are
+primitive to m with norm divisible by m (psi) and the number with norm
+congruent to 1, each with an exact formula and an exhaustive enumerator.
 """
 
 from __future__ import annotations
@@ -92,16 +93,10 @@ class ResidueElement(_ModM):
 def reduce_mod_m(e: OrderElement, m: int) -> ResidueElement:
     """Reduce an element of the order into the canonical residue system mod odd m.
 
-    Scaling the v3, v4 coordinates by the even number 1+m moves the element
-    into the integral sublattice without changing it mod m; the standard
-    coordinates are then reduced.
+    The standard coordinates are the half coordinates over 2, and 2 is a unit mod m.
     """
-    _check_odd_modulus(m)
-    g3 = (1 + m) * e.g3
-    g4 = (1 + m) * e.g4
-    A = 2 * e.g1 + g3 + g4
-    B = 2 * e.g2 + g3 + g4
-    return ResidueElement.make(m, A // 2, B // 2, g3 // 2, g4 // 2)
+    _check_odd_modulus(m)  # before pow, which refuses an even m in its own words
+    return ResidueElement.make(m, *(x * pow(2, -1, m) for x in e.half_coords))
 
 
 class RSParams(Record):

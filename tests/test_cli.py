@@ -286,3 +286,19 @@ def test_help_is_unchanged_by_the_cache(capsys, monkeypatch, argv):
     with pytest.raises(SystemExit):
         build_parser.__wrapped__().parse_args(argv)
     assert capsys.readouterr() == first
+
+
+def test_reader_closing_early_gets_no_traceback(tmp_path):
+    # The JSON of 19998 primes is far larger than a pipe holds, so the
+    # writer is still writing when the reader closes after 64 bytes.
+    src = str(Path(quat1122.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "quat1122.cli", "primes", "-p", "19997", "--json"]
+    with open(tmp_path / "stderr.txt", "w+b") as err, subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=err,
+            env={**os.environ, "PYTHONPATH": src}) as proc:
+        head = proc.stdout.read(64)
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        err.seek(0)
+        assert err.read() == b""
+    assert head.startswith(b'{"p": 19997, "count": 19998, "primes": [')

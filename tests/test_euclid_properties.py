@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quat1122 import OrderElement, div_rem, gcd
+from quat1122.core import ZERO
+from quat1122.euclid import DivisionResult
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=500)
 
@@ -41,3 +43,11 @@ def test_gcd_bezout_and_divisibility(a, b, side):
     d, (x, y) = res.gcd, res.cofactors
     assert (x * a + y * b if side == "right" else a * x + b * y) == d
     assert divides(d, a, side) and divides(d, b, side)
+
+
+@PROFILE
+@given(elements, elements)
+def test_exact_division_returns_the_exact_quotient(q, b):
+    assume(not b.is_zero)
+    assert div_rem(q * b, b, "right") == DivisionResult(q, ZERO, "right")
+    assert div_rem(b * q, b, "left") == DivisionResult(q, ZERO, "left")

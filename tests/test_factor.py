@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import quat1122.factor
 from factor_reference import reference_primary_prime
 from quat1122 import (
     Factorization,
@@ -18,7 +19,9 @@ from quat1122 import (
     primary_primes_of_norm,
     units,
 )
+from quat1122.cli import main
 from quat1122.core import I, ONE, ONE_PLUS_I, V3, ZERO
+from quat1122.euclid import GcdResult
 from quat1122.factor import is_primitive
 from quat1122.intarith import FACTOR_BOUND, is_prime
 from quat1122.modm import ResidueElement, reduce_mod_m
@@ -245,6 +248,21 @@ def test_factor_primitive_rejects_bad_input():
     pi = primary_primes_of_norm(3)[0]
     with pytest.raises(ValueError):
         factor_primitive(pi.element, [5])  # wrong prime order
+
+
+def test_gcd_of_wrong_norm_is_an_invariant_violation(monkeypatch, capsys):
+    # A gcd whose norm is not p cannot happen; faking one reaches exit 3.
+    monkeypatch.setattr(quat1122.factor, "quat_gcd",
+                        lambda a, b, side: GcdResult(ONE, (ONE, ZERO), side))
+    pi = primary_primes_of_norm(3)[0]
+    with pytest.raises(ArithmeticError, match="right gcd of .* has norm 1, expected 3"):
+        primary_prime_from(pi.element, 3)
+    with pytest.raises(ArithmeticError, match="left gcd of .* has norm 1, expected 3"):
+        factor_primitive(pi.element, [3])
+    assert main(["factor", "[6,3,1,-2]"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal invariant violation: ")
 
 
 # -- full factorization ------------------------------------------------------
