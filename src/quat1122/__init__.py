@@ -55,10 +55,7 @@ _EXPORTS = {
     ),
     "repcount": (
         "CountResult",
-        "count_primary_enum",
-        "count_primitive_enum",
         "enumerate_norm_solutions",
-        "q_formula",
         "rep_count_formula",
         "rep_count_oracle",
         "rep_counts_upto",

@@ -16,11 +16,13 @@ Bezout cofactors included, on tuples, and builds elements (through
 ``OrderElement.from_half`` and its parity check) only for its result.  Each
 one-sided product, on tuples or elements, goes through ``dyadic._sided``.
 
-GCDs carry Bezout data.  For the right GCD d of (a, b):
+``gcd`` returns a ``GcdResult``: the GCD d, its Bezout pair (x, y) and the
+side.  For the right GCD of (a, b), d divides a and b on the right and
 
-    a = a' * d,   b = b' * d,   d = x*a + y*b
+    d = x*a + y*b;
 
-and symmetrically for the left GCD (d = a*x + b*y, d a left divisor).
+for the left GCD, d divides both on the left and d = a*x + b*y.  The
+quotients a' and b' with a = a' * d, b = b' * d are not returned.
 """
 
 from __future__ import annotations

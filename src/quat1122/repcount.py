@@ -25,7 +25,7 @@ from math import isqrt
 
 from .core import OrderElement, Record
 from .dyadic import is_primary
-from .intarith import FACTOR_BOUND, factorize, sigma
+from .intarith import FACTOR_BOUND, sigma
 
 COUNT_BOUND = FACTOR_BOUND  # sigma(m) trial-divides: about 2 s for the worst m
 ORACLE_BOUND = 10**6
@@ -49,15 +49,12 @@ class Restriction(Record):
         return range(2**self.two_exponent, limit + 1, 2 ** (self.two_exponent + 1))
 
 
-#: The representation counts, by restriction name.  The two patterns of
-#: case "iii" are also available alone as "iii-zodd" / "iii-wodd".
+#: The representation counts, by restriction name: the four counting theorems.
 RESTRICTIONS = {
     "none": Restriction(((None, None, None, None),), None, (4, 8, 24)),
     "i": Restriction(((0, 0, 1, 1),), 2, (4,)),
     "ii": Restriction(((0, 0, 1, 1),), 3, (16,)),
     "iii": Restriction(((1, 1, 1, 0), (1, 1, 0, 1)), 2, (16,)),
-    "iii-zodd": Restriction(((1, 1, 1, 0),), 2, (8,)),
-    "iii-wodd": Restriction(((1, 1, 0, 1),), 2, (8,)),
 }
 
 
@@ -245,27 +242,3 @@ def enumerate_norm_solutions(n: int, primary: bool = False) -> tuple[OrderElemen
         found = list(starmap(OrderElement.from_half, _shell(4 * n)))
     found.sort(key=lambda e: e.coords)
     return tuple(found)
-
-
-# -- primary / primitive counts ----------------------------------------------
-
-def q_formula(m: int) -> int:
-    """Number of primitive elements of odd norm m:  m * prod (1 + 1/p); Q(1) = 1."""
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"m must be odd and positive, got {m}")
-    total = 1
-    for p, e in factorize(m).items():
-        total *= p ** (e - 1) * (p + 1)
-    return total
-
-
-def count_primitive_enum(m: int) -> int:
-    """Primitive elements of norm m counted by lattice enumeration."""
-    return sum(
-        1 for e in enumerate_norm_solutions(m, primary=True) if int_gcd(*e.coords) == 1
-    )
-
-
-def count_primary_enum(m: int) -> int:
-    """Primary elements of norm m counted by lattice enumeration; equals sigma(m)."""
-    return len(enumerate_norm_solutions(m, primary=True))

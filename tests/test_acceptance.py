@@ -11,12 +11,11 @@ import time
 from itertools import product
 
 from modm_reference import count_annihilator_enum
+from repcount_reference import count_primitive_enum, q_formula
 from quat1122 import (
     OrderElement,
     count_norm1,
     count_norm1_enum,
-    count_primary_enum,
-    count_primitive_enum,
     count_psi,
     count_psi_enum,
     div_rem,
@@ -26,7 +25,6 @@ from quat1122 import (
     gcd,
     is_primary,
     primary_primes_of_norm,
-    q_formula,
     rep_count_formula,
     rep_count_oracle,
     rep_counts_upto,
@@ -90,7 +88,7 @@ def test_criterion_03_spot_values():
 def test_criterion_04_primary_count_is_sigma():
     """Primary elements of norm m number sigma(m), odd m <= 99."""
     for m in range(1, 100, 2):
-        assert count_primary_enum(m) == sigma(m), f"m={m}"
+        assert len(enumerate_norm_solutions(m, primary=True)) == sigma(m), f"m={m}"
     _ok(4, "norm-m primary count == sigma(m) for all odd m <= 99")
 
 

@@ -5,15 +5,13 @@ from math import isqrt
 import pytest
 
 import dyadic_reference as ref
-import repcount_reference as table_ref
+import repcount_reference as count_ref
+from repcount_reference import count_primitive_enum, q_formula
 from quat1122 import (
     OrderElement,
-    count_primary_enum,
-    count_primitive_enum,
     enumerate_norm_solutions,
     is_primary,
     primary_primes_of_norm,
-    q_formula,
     rep_count_formula,
     rep_count_oracle,
     rep_counts_upto,
@@ -30,7 +28,12 @@ from quat1122.repcount import (
     TABLE_BOUND,
 )
 
-#: Which signed (x, y, z, w) each restriction counts, stated directly.
+#: The two halves of case iii, by which of z, w is odd, as (x, y, z, w)
+#: parities.  The library counts only their sum; count_ref counts each.
+CASE_III_HALVES = {"iii-zodd": (1, 1, 1, 0), "iii-wodd": (1, 1, 0, 1)}
+
+#: Which signed (x, y, z, w) each restriction, or half of case iii, counts,
+#: stated directly.
 ADMITS = {
     "none": lambda x, y, z, w: True,
     "i": lambda x, y, z, w: x % 2 == y % 2 == 0 and z % 2 == w % 2 == 1,
@@ -97,10 +100,21 @@ def reference_primary(n):
 
 def admitted_restrictions(n):
     if n % 8 == 4:
-        return ("none", "i", "iii", "iii-zodd", "iii-wodd")
+        return ("none", "i", "iii", *CASE_III_HALVES)
     if n % 16 == 8:
         return ("none", "ii")
     return ("none",)
+
+
+def oracle_count(n, restriction):
+    """rep_count_oracle, or the reference pattern count for a half of case iii."""
+    if restriction in CASE_III_HALVES:
+        return count_ref.pattern_count(n, CASE_III_HALVES[restriction])
+    return rep_count_oracle(n, restriction)
+
+
+def primary_count(m):
+    return len(enumerate_norm_solutions(m, primary=True))
 
 
 def test_sigma_values():
@@ -120,9 +134,9 @@ def test_q_formula_values():
 
 
 def test_primary_counts_small():
-    assert count_primary_enum(1) == 1
-    assert count_primary_enum(3) == 4 == sigma(3)
-    assert count_primary_enum(9) == 13 == sigma(9)
+    assert primary_count(1) == 1
+    assert primary_count(3) == 4 == sigma(3)
+    assert primary_count(9) == 13 == sigma(9)
 
 
 def test_primitive_counts_small():
@@ -131,8 +145,12 @@ def test_primitive_counts_small():
 
 
 def test_primary_and_primitive_counts_match_formulas():
-    for m in range(1, 1000, 2):
-        assert count_primary_enum(m) == sigma(m), m
+    # Every odd m < 1000; then a prime near the enumeration bound, a prime
+    # square, a product of three distinct primes and a seeded sample up to it.
+    rng = random.Random(1122)
+    large = [19997, 139**2, 7 * 11 * 257, *rng.sample(range(1001, ENUMERATION_BOUND, 2), 3)]
+    for m in [*range(1, 1000, 2), *large]:
+        assert primary_count(m) == sigma(m), m
         assert count_primitive_enum(m) == q_formula(m), m
 
 
@@ -179,22 +197,24 @@ def test_factor_bound():
 def test_oracle_matches_reference_small():
     for n in range(1, 401):
         admitted = admitted_restrictions(n)
-        for restriction in ADMITS:
-            if restriction in admitted:
-                expected = reference_oracle(n, restriction)
-                assert rep_count_oracle(n, restriction) == expected
-                assert rep_count_formula(n, restriction).formula_count == expected
+        for restriction in admitted:
+            expected = reference_oracle(n, restriction)
+            assert oracle_count(n, restriction) == expected
+            if restriction in CASE_III_HALVES:
+                assert 2 * expected == rep_count_formula(n, "iii").formula_count
             else:
-                with pytest.raises(ValueError):
-                    rep_count_oracle(n, restriction)
-                with pytest.raises(ValueError):
-                    rep_count_formula(n, restriction)
+                assert rep_count_formula(n, restriction).formula_count == expected
+        for restriction in RESTRICTIONS.keys() - set(admitted):
+            with pytest.raises(ValueError):
+                rep_count_oracle(n, restriction)
+            with pytest.raises(ValueError):
+                rep_count_formula(n, restriction)
 
 
 @pytest.mark.parametrize("n", [10007, 13122, 15000, 16384, 19996])
 def test_oracle_matches_reference_large(n):
     for restriction in admitted_restrictions(n):
-        assert rep_count_oracle(n, restriction) == reference_oracle(n, restriction)
+        assert oracle_count(n, restriction) == reference_oracle(n, restriction)
 
 
 def test_batch_matches_single_oracle():
@@ -232,9 +252,9 @@ def test_restricted_oracle_matches_formula(m):
 @pytest.mark.parametrize("m", [1, 3, 5, 9])
 def test_case_iii_subcases_split_evenly(m):
     # each of the two opposite-parity shapes contributes half of case iii
-    zodd = rep_count_oracle(4 * m, "iii-zodd")
-    wodd = rep_count_oracle(4 * m, "iii-wodd")
+    zodd, wodd = (count_ref.pattern_count(4 * m, p) for p in CASE_III_HALVES.values())
     assert zodd == wodd == 8 * sigma(m)
+    assert zodd + wodd == rep_count_oracle(4 * m, "iii")
 
 
 def test_restriction_shape_validation():
@@ -248,6 +268,11 @@ def test_restriction_shape_validation():
         rep_count_oracle(4, "bogus")
     with pytest.raises(ValueError):
         rep_counts_upto(10, "bogus")
+    # the halves of case iii are counted in the tests only
+    for half in CASE_III_HALVES:
+        for count in (rep_count_oracle, rep_count_formula, rep_counts_upto):
+            with pytest.raises(ValueError, match=f"^unknown restriction '{half}'$"):
+                count(4, half)
 
 
 def test_restricted_batch_matches_single():
@@ -266,8 +291,20 @@ def test_restricted_batch_matches_single():
 def test_table_matches_nested_loop(restriction):
     # Every limit up to 64 covers empty series and truncation at the top.
     for limit in [*range(65), 3000]:
-        assert rep_counts_upto(limit, restriction) == table_ref.rep_counts_upto(
+        assert rep_counts_upto(limit, restriction) == count_ref.rep_counts_upto(
             limit, restriction), limit
+
+
+@pytest.mark.parametrize("half", list(CASE_III_HALVES))
+def test_case_iii_half_table_is_half_of_case_iii(half):
+    # The nested-loop table of one half, at every n = 4m <= 3000, is half of
+    # the library's case iii table; elsewhere the two halves sum to it.
+    limit = 3000
+    tables = {h: count_ref.pattern_table(limit, p) for h, p in CASE_III_HALVES.items()}
+    iii = rep_counts_upto(limit, "iii")
+    assert [sum(c) for c in zip(*tables.values())] == iii
+    for n in RESTRICTIONS["iii"].admissible(limit):
+        assert 2 * tables[half][n] == iii[n] == 16 * sigma(n // 4), n
 
 
 @pytest.mark.parametrize("limit", [5 * 10**4, 2 * 10**5])
