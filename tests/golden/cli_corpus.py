@@ -124,6 +124,13 @@ def argvs(rng: random.Random) -> list[list[str]]:
               ["count", str(10**30)],
               ["count", str(ORACLE_BOUND + 1), "--oracle"],
               ["count", "8", "--restriction", "i"]]
+    # n at the hand-off from the table of primes below 2^14 to plain trial
+    # division: 16411 and 16417 are the first primes past 2^14, 268435399 and
+    # 268435459 the primes on either side of 2^28
+    calls += [["count", str(16411 * 16417)], ["count", str(16411**2)],
+              ["count", str(16381**3)], ["count", "268435399"], ["count", "268435459"],
+              ["count", str(16381 * 268435459)],
+              ["count", str(4 * 16411 * 16417), "--restriction", "i"]]
 
     # factor: small coordinates, contents and powers of 2 up to 1e30, half forms
     for _ in range(30):
@@ -141,6 +148,12 @@ def argvs(rng: random.Random) -> list[list[str]]:
               # primitive norm 31622777^2 + 4 lies just past the factoring bound
               ["factor", "[31622777,2,0,0]"],
               ["factor", "[100000000000000000000000000001,0,0,1]"]]
+    # primitive norms 16411*16417, 16411^2, 3*268435459, 16381*268435459 and
+    # 5*7*268435459: prime factors just past 2^14 and just past 2^28; the last
+    # element is twice the first, so (1+i)^2 is peeled before the same norm
+    calls += [["factor", "[16236,2403,2,0]"], ["factor", "[15111,6388,8,0]"],
+              ["factor", "[28297,2084,8,0]"], ["factor", "[2096612,36663,54,0]"],
+              ["factor", "[96884,2519,24,0]"], ["factor", "[32472,4806,4,0]"]]
 
     # gcd: both sides, coordinates up to 1e30
     for _ in range(30):

@@ -2,9 +2,10 @@
 
 Each loading check runs in a fresh interpreter and compares ``sys.modules``
 before and after the step, so modules that start-up (``site``) loads do not
-count.
+count.  The library imports nothing outside the standard library.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -92,3 +93,18 @@ def test_cli_layer_names_read_their_defining_module():
     from quat1122 import factor
 
     assert cli.full_factor is factor.full_factor
+
+
+def test_library_imports_only_the_standard_library():
+    foreign = []
+    for path in sorted((SRC / "quat1122").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports are the package's own
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not foreign

@@ -1,0 +1,83 @@
+"""The table-first trial division agrees with the plain one it replaced.
+
+``tests/intarith_reference.py`` keeps ``is_prime`` and ``factorize`` as
+they were before the table of primes below 2^14; every check here compares
+the library against that copy, with the most care at the hand-off from the
+table to the loops past it.
+"""
+
+import random
+
+import pytest
+
+import intarith_reference as ref
+from quat1122.intarith import FACTOR_BOUND, _SIEVE_BOUND, _small_primes, factorize, is_prime
+
+#: The primes on either side of 2^14 and of 2^28.
+BELOW_2_14, ABOVE_2_14, NEXT_ABOVE_2_14 = 16381, 16411, 16417
+BELOW_2_28, ABOVE_2_28 = 268435399, 268435459
+
+HAND_OFF = [
+    ABOVE_2_14**2, ABOVE_2_14**2 - 2, ABOVE_2_14 * NEXT_ABOVE_2_14, BELOW_2_14**2,
+    BELOW_2_14**3, BELOW_2_14 * ABOVE_2_28, ABOVE_2_14 * ABOVE_2_28,
+    BELOW_2_28, ABOVE_2_28, 2**28, 2**28 + 1, 16385**2, 16387**2,
+    FACTOR_BOUND, FACTOR_BOUND - 1,
+]
+
+
+def assert_same_factorization(n):
+    """Same primes, exponents and key order as the reference."""
+    assert list(factorize(n).items()) == list(ref.factorize(n).items()), n
+
+
+def test_table_is_the_primes_below_its_bound():
+    assert _SIEVE_BOUND == 2**14
+    table = _small_primes()
+    assert table is _small_primes()
+    assert len(table) == 1900 and table[-1] == BELOW_2_14
+    # a sieve with no shortcuts: every n >= 2 strikes all its multiples
+    marks = [True] * _SIEVE_BOUND
+    marks[0] = marks[1] = False
+    for n in range(2, _SIEVE_BOUND):
+        for multiple in range(2 * n, _SIEVE_BOUND, n):
+            marks[multiple] = False
+    assert list(table) == [n for n in range(_SIEVE_BOUND) if marks[n]]
+
+
+def test_agrees_with_reference_below_2_17():
+    for n in range(-3, 2**17):
+        assert is_prime(n) == ref.is_prime(n), n
+    for n in range(1, 2**17):
+        assert_same_factorization(n)
+
+
+def test_agrees_with_reference_on_seeded_large_n():
+    # magnitudes drawn from every decade up to 10^13, so the draws around
+    # 2^28 are not crowded out by the top decades
+    rng = random.Random(1122)
+    for _ in range(300):
+        n = rng.randint(1, 10 ** rng.randint(1, 13))
+        assert is_prime(n) == ref.is_prime(n), n
+        assert_same_factorization(n)
+
+
+@pytest.mark.parametrize("n", HAND_OFF)
+def test_agrees_with_reference_at_the_hand_off(n):
+    assert is_prime(n) == ref.is_prime(n)
+    assert_same_factorization(n)
+    keys = list(factorize(n))
+    assert keys == sorted(keys)
+
+
+def test_hand_off_values():
+    assert is_prime(BELOW_2_28) and is_prime(ABOVE_2_28)
+    assert not is_prime(ABOVE_2_14 * NEXT_ABOVE_2_14)
+    assert factorize(ABOVE_2_14**2) == {ABOVE_2_14: 2}
+    assert factorize(BELOW_2_14**3) == {BELOW_2_14: 3}
+    assert factorize(BELOW_2_14 * ABOVE_2_28) == {BELOW_2_14: 1, ABOVE_2_28: 1}
+
+
+def test_nonpositive_n_is_refused():
+    for n in (0, -7):
+        with pytest.raises(ValueError, match="cannot factor"):
+            factorize(n)
