@@ -20,8 +20,8 @@ import json
 import os
 import sys
 from functools import cache
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False  # typing's own flag without importing typing (3-4 ms)
 if TYPE_CHECKING:
     from .core import OrderElement
 

@@ -22,9 +22,6 @@ from __future__ import annotations
 import re
 from functools import cache
 from operator import attrgetter
-from typing import Union
-
-OpOther = Union["OrderElement", int]
 
 
 class _RecordType(type):
@@ -158,7 +155,7 @@ class OrderElement(Record):
 
     # -- ring structure ----------------------------------------------------
 
-    def __add__(self, other: OpOther) -> "OrderElement":
+    def __add__(self, other: OrderElement | int) -> "OrderElement":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -168,7 +165,7 @@ class OrderElement(Record):
 
     __radd__ = __add__
 
-    def __sub__(self, other: OpOther) -> "OrderElement":
+    def __sub__(self, other: OrderElement | int) -> "OrderElement":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -176,13 +173,13 @@ class OrderElement(Record):
             self.g1 - other.g1, self.g2 - other.g2, self.g3 - other.g3, self.g4 - other.g4
         )
 
-    def __rsub__(self, other: OpOther) -> "OrderElement":
+    def __rsub__(self, other: OrderElement | int) -> "OrderElement":
         return (-self).__add__(other)
 
     def __neg__(self) -> "OrderElement":
         return OrderElement(-self.g1, -self.g2, -self.g3, -self.g4)
 
-    def __mul__(self, other: OpOther) -> "OrderElement":
+    def __mul__(self, other: OrderElement | int) -> "OrderElement":
         if isinstance(other, int):
             return OrderElement(
                 self.g1 * other, self.g2 * other, self.g3 * other, self.g4 * other
@@ -271,7 +268,7 @@ def half_product(u, v) -> tuple[int, int, int, int]:
     return AA >> 1, BB >> 1, CC >> 1, DD >> 1
 
 
-def _coerce(value: OpOther) -> OrderElement:
+def _coerce(value: OrderElement | int) -> OrderElement:
     if isinstance(value, OrderElement):
         return value
     if isinstance(value, int):

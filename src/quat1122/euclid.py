@@ -21,18 +21,20 @@ side.  For the right GCD of (a, b), d divides a and b on the right and
 
     d = x*a + y*b;
 
-for the left GCD, d divides both on the left and d = a*x + b*y.  The
-quotients a' and b' with a = a' * d, b = b' * d are not returned.
+for the left GCD, d divides both on the left and d = a*x + b*y.
+``gcd_cofactor`` returns the same d with the cofactor a' of a instead
+(a = a'*d on the right, a = d*a' on the left), from the continuant its loop
+carries in place of the Bezout pair; factoring peels each prime with it.
 """
 
 from __future__ import annotations
 
-from typing import Literal
-
 from .core import OrderElement, Record, half_product, units
 from .dyadic import _sided, primary_associate
 
-Side = Literal["left", "right"]
+TYPE_CHECKING = False  # typing's own flag without importing typing (3-4 ms)
+if TYPE_CHECKING:
+    from .dyadic import Side
 
 #: Half-coordinate parities of the four cosets of 2Z^4 that make up the order.
 _COSETS = ((0, 0, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1), (0, 0, 1, 1))
@@ -50,6 +52,10 @@ class GcdResult(Record):
     gcd: OrderElement
     cofactors: tuple[OrderElement, OrderElement]
     side: Side
+
+
+def _add(u, v) -> tuple[int, int, int, int]:
+    return u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3]
 
 
 def _sub(u, v) -> tuple[int, int, int, int]:
@@ -114,16 +120,21 @@ def div_rem(a: OrderElement, b: OrderElement, side: Side = "right") -> DivisionR
     return DivisionResult(OrderElement.from_half(*q), OrderElement.from_half(*r), side)
 
 
-def _normalize(d: OrderElement, x: OrderElement, y: OrderElement, side: Side):
-    # Associates preserving the divisor side: u*d for a right gcd, d*u for a
-    # left gcd.  Odd gcds get their unique primary associate; even ones the
-    # lexicographically smallest coordinate tuple.
-    mul = _sided(side)
+def _associate(d: OrderElement, side: Side) -> tuple[OrderElement, OrderElement]:
+    # The unit w and the canonical associate of d that keep the divisor side:
+    # w*d for a right gcd, d*w for a left gcd.  Odd gcds get their unique
+    # primary associate; even ones the lexicographically smallest coordinates.
     if d.norm() % 2 == 1:
-        w, c = primary_associate(d, "left" if side == "right" else "right")
-    else:
-        w = min(units(), key=lambda u: mul(u, d).coords)
-        c = mul(w, d)
+        return primary_associate(d, "left" if side == "right" else "right")
+    mul = _sided(side)
+    w = min(units(), key=lambda u: mul(u, d).coords)
+    return w, mul(w, d)
+
+
+def _normalize(d: OrderElement, x: OrderElement, y: OrderElement, side: Side):
+    # d's canonical associate, with the Bezout pair moved along.
+    mul = _sided(side)
+    w, c = _associate(d, side)
     return c, mul(w, x), mul(w, y)
 
 
@@ -149,3 +160,27 @@ def gcd(a: OrderElement, b: OrderElement, side: Side = "right") -> GcdResult:
     d, x, y = (OrderElement.from_half(*h) for h in (r0, x0, y0))
     d, x, y = _normalize(d, x, y, side)
     return GcdResult(d, (x, y), side)
+
+
+def gcd_cofactor(a: OrderElement, b: OrderElement, side: Side) -> tuple[OrderElement, OrderElement]:
+    """The GCD that ``gcd`` returns, with a's cofactor in place of the Bezout pair.
+
+    Returns (d, a') with a = a'*d ("right") or a = d*a' ("left").  The
+    Euclidean loop carries the continuant U instead: on the right,
+    a = U_i*r_i + V_i*r_(i+1) holds at each step, and r_i = q_i*r_(i+1) + r_(i+2)
+    gives U_(i+1) = U_i*q_i + V_i and V_(i+1) = U_i, one product per step (the
+    left side mirrors every product).  At the end a = U_n*r_n, so with the
+    canonical associate d = w*r_n the cofactor is a' = U_n*conj(w).
+
+    Raises:
+        ValueError: both arguments are zero.
+    """
+    mul = _sided(side, half_product)
+    if a.is_zero and b.is_zero:
+        raise ValueError("gcd(0, 0) is undefined")
+    r0, r1, u0, u1 = a.half_coords, b.half_coords, _ONE, _ZERO
+    while any(r1):
+        q, r = _step(r0, r1, side)
+        r0, r1, u0, u1 = r1, r, _add(mul(u0, q), u1), u0
+    w, d = _associate(OrderElement.from_half(*r0), side)
+    return d, OrderElement.from_half(*mul(u0, w.conjugate().half_coords))

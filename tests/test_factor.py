@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 import quat1122.factor
-from factor_reference import reference_primary_prime
+from factor_reference import reference_peel, reference_primary_prime
 from quat1122 import (
     Factorization,
     OrderElement,
@@ -15,15 +15,16 @@ from quat1122 import (
     full_factor,
     is_primary,
     p_conjugate,
+    primary_associate,
     primary_prime_from,
     primary_primes_of_norm,
     units,
 )
 from quat1122.cli import main
 from quat1122.core import I, ONE, ONE_PLUS_I, V3, ZERO
-from quat1122.euclid import GcdResult
+from quat1122.euclid import gcd as quat_gcd, gcd_cofactor
 from quat1122.factor import is_primitive
-from quat1122.intarith import FACTOR_BOUND, is_prime
+from quat1122.intarith import FACTOR_BOUND, factorize, is_prime
 from quat1122.modm import ResidueElement, reduce_mod_m
 
 
@@ -252,8 +253,7 @@ def test_factor_primitive_rejects_bad_input():
 
 def test_gcd_of_wrong_norm_is_an_invariant_violation(monkeypatch, capsys):
     # A gcd whose norm is not p cannot happen; faking one reaches exit 3.
-    monkeypatch.setattr(quat1122.factor, "quat_gcd",
-                        lambda a, b, side: GcdResult(ONE, (ONE, ZERO), side))
+    monkeypatch.setattr(quat1122.factor, "gcd_cofactor", lambda a, b, side: (ONE, a))
     pi = primary_primes_of_norm(3)[0]
     with pytest.raises(ArithmeticError, match="right gcd of .* has norm 1, expected 3"):
         primary_prime_from(pi.element, 3)
@@ -263,6 +263,65 @@ def test_gcd_of_wrong_norm_is_an_invariant_violation(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal invariant violation: ")
+
+
+def test_cofactor_that_does_not_rebuild_is_an_invariant_violation(monkeypatch, capsys):
+    # The true gcd with a wrong cofactor: d*c != f is caught, on both sides.
+    def negated_cofactor(a, b, side):
+        d, c = gcd_cofactor(a, b, side)
+        return d, -c
+
+    monkeypatch.setattr(quat1122.factor, "gcd_cofactor", negated_cofactor)
+    pi = primary_primes_of_norm(3)[0]
+    with pytest.raises(ArithmeticError, match=r"times the cofactor .* \(right\) is not"):
+        primary_prime_from(pi.element, 3)
+    with pytest.raises(ArithmeticError, match=r"times the cofactor .* \(left\) is not"):
+        factor_primitive(pi.element, [3])
+    assert main(["factor", "[6,3,1,-2]"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal invariant violation: ")
+
+
+def seeded_primitives(rng, count, bound):
+    """Primitive elements (primary, coprime coordinates) with coordinates below bound."""
+    out = []
+    while len(out) < count:
+        x = OrderElement(*(rng.randint(-bound, bound) for _ in range(4)))
+        if x.norm() % 2:
+            c = primary_associate(x, "left")[1]
+            if is_primitive(c):
+                out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_peel_matches_gcd_and_div_rem(side):
+    # For each prime of the norm, the kernel's d is gcd's d, d times the
+    # cofactor gives the element back, and the cofactor is div_rem's quotient.
+    rng = random.Random(1800 + (side == "left"))
+    elements = seeded_primitives(rng, 60, 10**3) + seeded_primitives(rng, 40, 10**6)
+    elements += [pi.element for pi in primary_primes_of_norm(13)]
+    for f in elements:
+        for p in sorted(factorize(f.norm())):
+            d, c = gcd_cofactor(f, OrderElement(p, 0, 0, 0), side)
+            assert d == quat_gcd(f, OrderElement(p, 0, 0, 0), side).gcd
+            assert (c * d if side == "right" else d * c) == f
+            assert (d, c) == reference_peel(f, p, side), (f, p)
+
+
+def test_factor_primitive_matches_reference_peel():
+    # The whole left-to-right walk, prime after prime, against gcd + div_rem.
+    rng = random.Random(1802)
+    for c in seeded_primitives(rng, 40, 10**5):
+        order = sorted(p for p, e in factorize(c.norm()).items() for _ in range(e))
+        rng.shuffle(order)
+        cofactor, expected = c, []
+        for p in order:
+            d, cofactor = reference_peel(cofactor, p, "left")
+            expected.append(d)
+        assert cofactor == ONE
+        assert [pi.element for pi in factor_primitive(c, order)] == expected
 
 
 # -- full factorization ------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Each loading check runs in a fresh interpreter and compares ``sys.modules``
 before and after the step, so modules that start-up (``site``) loads do not
-count.  The library imports nothing outside the standard library.
+count.  The checks for ``typing`` run under ``python -S``, because a site's
+``.pth`` files may import it before the step.  The library imports nothing
+outside the standard library.
 """
 
 import ast
@@ -35,8 +37,9 @@ VERB_LAYERS = {
 }
 
 
-def modules_added(setup: str, step: str) -> set[str]:
-    """The modules a fresh interpreter adds to sys.modules while running ``step``."""
+def modules_added(setup: str, step: str, *flags: str) -> set[str]:
+    """The modules a fresh interpreter (started with ``flags``) adds to sys.modules
+    while running ``step``."""
     script = "\n".join([
         "import io, json, sys",
         setup,
@@ -45,7 +48,7 @@ def modules_added(setup: str, step: str) -> set[str]:
         "sys.stdout = sys.__stdout__",
         "print(json.dumps(sorted(set(sys.modules) - before)))",
     ])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=False)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
@@ -66,6 +69,16 @@ def test_verb_loads_its_layers_only(form):
         f"quat1122.{layer}" for layer in layers}
     if form not in ("factor", "primes"):
         assert "dataclasses" not in added
+
+
+def test_import_cli_loads_no_typing():
+    assert "typing" not in modules_added("", "from quat1122 import cli", "-S")
+
+
+@pytest.mark.parametrize("form", list(VERB_LAYERS))
+def test_verb_loads_no_typing(form):
+    step = f"sys.stdout = io.StringIO(); assert cli.main({VERB_LAYERS[form][0]!r}) == 0"
+    assert "typing" not in modules_added("from quat1122 import cli", step, "-S")
 
 
 @pytest.mark.parametrize("name", quat1122.__all__)

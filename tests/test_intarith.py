@@ -3,15 +3,26 @@
 ``tests/intarith_reference.py`` keeps ``is_prime`` and ``factorize`` as
 they were before the table of primes below 2^14; every check here compares
 the library against that copy, with the most care at the hand-off from the
-table to the loops past it.
+table to the loops past it and at the edges of the table's gcd-filtered
+blocks.
 """
 
 import random
+from itertools import combinations
+from math import prod
 
 import pytest
 
 import intarith_reference as ref
-from quat1122.intarith import FACTOR_BOUND, _SIEVE_BOUND, _small_primes, factorize, is_prime
+from quat1122.intarith import (
+    _BLOCK,
+    _SIEVE_BOUND,
+    FACTOR_BOUND,
+    _blocks,
+    _small_primes,
+    factorize,
+    is_prime,
+)
 
 #: The primes on either side of 2^14 and of 2^28.
 BELOW_2_14, ABOVE_2_14, NEXT_ABOVE_2_14 = 16381, 16411, 16417
@@ -25,9 +36,19 @@ HAND_OFF = [
 ]
 
 
+#: The first and the last prime of every block of the table.
+BLOCK_EDGES = sorted({p for block, _ in _blocks() for p in (block[0], block[-1])})
+
+
 def assert_same_factorization(n):
     """Same primes, exponents and key order as the reference."""
     assert list(factorize(n).items()) == list(ref.factorize(n).items()), n
+
+
+def assert_agrees(values):
+    for n in values:
+        assert is_prime(n) == ref.is_prime(n), n
+        assert_same_factorization(n)
 
 
 def test_table_is_the_primes_below_its_bound():
@@ -42,6 +63,49 @@ def test_table_is_the_primes_below_its_bound():
         for multiple in range(2 * n, _SIEVE_BOUND, n):
             marks[multiple] = False
     assert list(table) == [n for n in range(_SIEVE_BOUND) if marks[n]]
+
+
+def test_blocks_cut_the_table_in_order():
+    blocks = _blocks()
+    assert blocks is _blocks()
+    assert [p for block, _ in blocks for p in block] == list(_small_primes())
+    assert {len(block) for block, _ in blocks[:-1]} == {_BLOCK}
+    assert all(product == prod(block) for block, product in blocks)
+    assert blocks[0][0][-1] == 311 and blocks[-1][0][-1] == BELOW_2_14
+
+
+def test_agrees_with_reference_at_block_edges():
+    # every edge prime alone, squared, cubed and times each later edge prime
+    # (first times last of one block, and across blocks)
+    assert_agrees(BLOCK_EDGES)
+    assert_agrees(p**2 for p in BLOCK_EDGES)
+    assert_agrees(p**3 for p in BLOCK_EDGES)
+    assert_agrees(p * q for p, q in combinations(BLOCK_EDGES, 2))
+    # an edge prime next to a prime past the table: the blocks, then the loops
+    assert_agrees(p * q for p in BLOCK_EDGES for q in (ABOVE_2_14, ABOVE_2_28))
+
+
+def test_agrees_with_reference_on_products_within_and_across_blocks():
+    rng = random.Random(1801)
+    blocks = [block for block, _ in _blocks()]
+    same = [rng.choice(block) * rng.choice(block) for block in blocks for _ in range(8)]
+    across = [rng.choice(a) * rng.choice(b) for a, b in combinations(blocks, 2)]
+    assert_agrees(same + across)
+
+
+def test_agrees_with_reference_on_squarefree_runs_of_a_block():
+    # A whole block's product lies past FACTOR_BOUND, so each block gives the
+    # longest runs from its first and from its last prime that stay within it.
+    values = []
+    for block, _ in _blocks():
+        for run in (block, block[::-1]):
+            n = 1
+            for p in run:
+                if n * p > FACTOR_BOUND:
+                    break
+                n *= p
+                values.append(n)
+    assert_agrees(values)
 
 
 def test_agrees_with_reference_below_2_17():
@@ -63,8 +127,7 @@ def test_agrees_with_reference_on_seeded_large_n():
 
 @pytest.mark.parametrize("n", HAND_OFF)
 def test_agrees_with_reference_at_the_hand_off(n):
-    assert is_prime(n) == ref.is_prime(n)
-    assert_same_factorization(n)
+    assert_agrees([n])
     keys = list(factorize(n))
     assert keys == sorted(keys)
 
