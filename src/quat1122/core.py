@@ -14,6 +14,9 @@ The sublattice spanned by {1, i, sqrt(2)j, sqrt(2)k} (all half coordinates
 even) is where the norm literally evaluates the quadratic form on integer
 4-tuples; ``is_integral`` tests membership.
 
+An element is divided by a known divisor d in one way: multiplied by conj(d)
+on d's side, then divided by norm(d) with the checked ``exact_quotient``.
+
 All values are immutable and every operation is a pure function.
 """
 
@@ -266,6 +269,14 @@ def half_product(u, v) -> tuple[int, int, int, int]:
         raise ArithmeticError(
             f"non-integral product of half coordinates {tuple(u)} and {tuple(v)}")
     return AA >> 1, BB >> 1, CC >> 1, DD >> 1
+
+
+def exact_quotient(e: OrderElement, n: int) -> OrderElement:
+    """e/n for a nonzero integer n; ArithmeticError unless n divides every coordinate."""
+    # Written out over the four coordinates: no generator or tuple per call.
+    if e.g1 % n or e.g2 % n or e.g3 % n or e.g4 % n:
+        raise ArithmeticError(f"{e} is not divisible by {n}")
+    return OrderElement(e.g1 // n, e.g2 // n, e.g3 // n, e.g4 // n)
 
 
 def _coerce(value: OrderElement | int) -> OrderElement:

@@ -1,8 +1,9 @@
 """The (1+i)-adic layer: divisibility, small residue systems, primary elements.
 
 1+i has norm 2 and divides an element on the left exactly when it does on
-the right, exactly when the element's norm is even.  Repeated peeling gives
-the decomposition e = (1+i)^r * (odd part).
+the right, exactly when the element's norm is even.  So e = (1+i)^r * b with
+b odd, where r is the 2-adic valuation of norm(e), and b = (1-i)^r * e / 2^r
+is one exact division (``core.exact_quotient``), as is e/(1+i) = e*(1-i)/2.
 
 An odd element is *primary* when it is congruent to 1 or 1 + 2*v3 modulo
 the (two-sided) ideal generated by 2*(1+i).  Each odd element has exactly
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import operator
 
-from .core import I, ONE, UNITS_MOD_SIGN, V3, V4, ZERO, OrderElement
+from .core import I, ONE, UNITS_MOD_SIGN, V3, V4, ZERO, OrderElement, exact_quotient
 
 TYPE_CHECKING = False  # typing's own flag without importing typing (3-4 ms)
 if TYPE_CHECKING:
@@ -88,27 +89,22 @@ def divide_by_1pi(e: OrderElement, side: Side = "right") -> OrderElement:
     mul = _sided(side)
     if is_odd(e):
         raise ValueError(f"{e} has odd norm; not divisible by 1+i")
-    g1, g2, g3, g4 = mul(e, ONE_MINUS_I).coords
-    if (g1 | g2 | g3 | g4) & 1:
-        raise ArithmeticError(f"even-norm element {e} not divisible by 1+i")
-    return OrderElement(g1 >> 1, g2 >> 1, g3 >> 1, g4 >> 1)
+    return exact_quotient(mul(e, ONE_MINUS_I), 2)
 
 
 def valuation_1pi(e: OrderElement) -> tuple[int, OrderElement]:
     """Write e = (1+i)^r * b with b odd; returns (r, b).
 
-    r equals the 2-adic valuation of norm(e).
+    r is the 2-adic valuation of norm(e), and b = (1-i)^r * e / 2^r.
 
     Raises:
         ValueError: e == 0.
     """
     if e.is_zero:
         raise ValueError("the zero element has no (1+i)-adic valuation")
-    r = 0
-    while not is_odd(e):
-        e = divide_by_1pi(e, "left")
-        r += 1
-    return r, e
+    n = e.norm()
+    r = (n & -n).bit_length() - 1
+    return r, exact_quotient(ONE_MINUS_I ** r * e, 1 << r)
 
 
 def residue_mod_2(e: OrderElement) -> OrderElement:

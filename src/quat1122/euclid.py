@@ -11,10 +11,10 @@ is checked at runtime.
 One step kernel does this on half-coordinate integer 4-tuples: it forms the
 numerator, decodes the quotient, multiplies back and checks the remainder,
 with every product through ``core.half_product`` and its exact halving.
-``div_rem`` is one step between elements.  ``gcd`` runs its whole loop,
-Bezout cofactors included, on tuples, and builds elements (through
-``OrderElement.from_half`` and its parity check) only for its result.  Each
-one-sided product, on tuples or elements, goes through ``dyadic._sided``.
+``div_rem`` is one step between elements.  One Euclidean loop, shared by
+``gcd`` and ``gcd_cofactor``, runs on tuples and carries only the Bezout
+coefficient of a (one product per step).  Each one-sided product, on tuples
+or elements, goes through ``dyadic._sided``.
 
 ``gcd`` returns a ``GcdResult``: the GCD d, its Bezout pair (x, y) and the
 side.  For the right GCD of (a, b), d divides a and b on the right and
@@ -23,13 +23,13 @@ side.  For the right GCD of (a, b), d divides a and b on the right and
 
 for the left GCD, d divides both on the left and d = a*x + b*y.
 ``gcd_cofactor`` returns the same d with the cofactor a' of a instead
-(a = a'*d on the right, a = d*a' on the left), from the continuant its loop
-carries in place of the Bezout pair; factoring peels each prime with it.
+(a = a'*d on the right, a = d*a' on the left); factoring peels each prime
+with it.  y and a' each come from one exact division, ``core.exact_quotient``.
 """
 
 from __future__ import annotations
 
-from .core import OrderElement, Record, half_product, units
+from .core import ZERO, OrderElement, Record, exact_quotient, half_product, units
 from .dyadic import _sided, primary_associate
 
 TYPE_CHECKING = False  # typing's own flag without importing typing (3-4 ms)
@@ -52,10 +52,6 @@ class GcdResult(Record):
     gcd: OrderElement
     cofactors: tuple[OrderElement, OrderElement]
     side: Side
-
-
-def _add(u, v) -> tuple[int, int, int, int]:
-    return u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3]
 
 
 def _sub(u, v) -> tuple[int, int, int, int]:
@@ -131,11 +127,19 @@ def _associate(d: OrderElement, side: Side) -> tuple[OrderElement, OrderElement]
     return w, mul(w, d)
 
 
-def _normalize(d: OrderElement, x: OrderElement, y: OrderElement, side: Side):
-    # d's canonical associate, with the Bezout pair moved along.
-    mul = _sided(side)
-    w, c = _associate(d, side)
-    return c, mul(w, x), mul(w, y)
+def _euclid(a: OrderElement, b: OrderElement, side: Side):
+    # The one Euclidean loop, on tuples: the canonical d, the unit w with
+    # d = w*r (r*w on the left) for the last remainder r, and r's raw x in
+    # r = x*a + y*b (a*x + b*y on the left); y is not carried.
+    mul = _sided(side, half_product)
+    if a.is_zero and b.is_zero:
+        raise ValueError("gcd(0, 0) is undefined")
+    r0, r1, x0, x1 = a.half_coords, b.half_coords, _ONE, _ZERO
+    while any(r1):
+        q, r = _step(r0, r1, side)
+        r0, r1, x0, x1 = r1, r, x1, _sub(x0, mul(q, x1))
+    w, d = _associate(OrderElement.from_half(*r0), side)
+    return d, w, x0
 
 
 def gcd(a: OrderElement, b: OrderElement, side: Side = "right") -> GcdResult:
@@ -144,43 +148,29 @@ def gcd(a: OrderElement, b: OrderElement, side: Side = "right") -> GcdResult:
     The right GCD divides both inputs on the right and satisfies
     d = x*a + y*b; the left GCD divides on the left with d = a*x + b*y.
     Output is normalized to the primary associate when odd, else to the
-    associate with smallest coordinates.
+    associate with smallest coordinates.  y is (d - x*a)*conj(b)/norm(b),
+    mirrored on the left, or 0 when b = 0.
 
     Raises:
         ValueError: both arguments are zero.
+        ArithmeticError: that division is not exact (impossible; a runtime check).
     """
-    mul = _sided(side, half_product)
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    r0, x0, y0 = a.half_coords, _ONE, _ZERO
-    r1, x1, y1 = b.half_coords, _ZERO, _ONE
-    while any(r1):
-        q, r = _step(r0, r1, side)
-        r0, x0, y0, r1, x1, y1 = r1, x1, y1, r, _sub(x0, mul(q, x1)), _sub(y0, mul(q, y1))
-    d, x, y = (OrderElement.from_half(*h) for h in (r0, x0, y0))
-    d, x, y = _normalize(d, x, y, side)
+    mul = _sided(side)
+    d, w, x = _euclid(a, b, side)
+    x = mul(w, OrderElement.from_half(*x))
+    y = ZERO if b.is_zero else exact_quotient(mul(d - mul(x, a), b.conjugate()), b.norm())
     return GcdResult(d, (x, y), side)
 
 
 def gcd_cofactor(a: OrderElement, b: OrderElement, side: Side) -> tuple[OrderElement, OrderElement]:
     """The GCD that ``gcd`` returns, with a's cofactor in place of the Bezout pair.
 
-    Returns (d, a') with a = a'*d ("right") or a = d*a' ("left").  The
-    Euclidean loop carries the continuant U instead: on the right,
-    a = U_i*r_i + V_i*r_(i+1) holds at each step, and r_i = q_i*r_(i+1) + r_(i+2)
-    gives U_(i+1) = U_i*q_i + V_i and V_(i+1) = U_i, one product per step (the
-    left side mirrors every product).  At the end a = U_n*r_n, so with the
-    canonical associate d = w*r_n the cofactor is a' = U_n*conj(w).
+    Returns (d, a') with a = a'*d ("right") or a = d*a' ("left"), where
+    a' = a*conj(d)/norm(d) (conj(d)*a/norm(d) on the left).
 
     Raises:
         ValueError: both arguments are zero.
+        ArithmeticError: d does not divide a (impossible; a runtime check).
     """
-    mul = _sided(side, half_product)
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    r0, r1, u0, u1 = a.half_coords, b.half_coords, _ONE, _ZERO
-    while any(r1):
-        q, r = _step(r0, r1, side)
-        r0, r1, u0, u1 = r1, r, _add(mul(u0, q), u1), u0
-    w, d = _associate(OrderElement.from_half(*r0), side)
-    return d, OrderElement.from_half(*mul(u0, w.conjugate().half_coords))
+    d = _euclid(a, b, side)[0]
+    return d, exact_quotient(_sided(side)(a, d.conjugate()), d.norm())

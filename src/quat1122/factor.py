@@ -11,8 +11,9 @@ rational primes:
 The primary prime attached to a given norm-p slot is extracted as a
 one-sided GCD with p, which the Euclidean layer normalizes to its primary
 associate.  One step, ``_peel``, does this on either side with
-``euclid.gcd_cofactor``, whose Euclidean loop also yields the cofactor that
-factor_primitive carries on to the next prime.
+``euclid.gcd_cofactor``, which also returns the cofactor that
+factor_primitive carries on to the next prime; it and the content come off
+by one exact division, ``core.exact_quotient``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd as int_gcd
 
-from .core import ONE, ONE_PLUS_I, OrderElement, Record
+from .core import ONE, ONE_PLUS_I, OrderElement, Record, exact_quotient
 from .dyadic import _sided, is_primary, primary_associate, valuation_1pi
 from .euclid import gcd_cofactor
 # Unused here: bench/selftest.py checks that its tracer patches euclid.gcd under this name.
@@ -170,8 +171,7 @@ def factor_primitive(c: OrderElement, prime_order: list[int]) -> list[PrimaryPri
     prime_order must list the rational prime factorization of norm(c), with
     multiplicity, in the desired left-to-right order; any ordering works.
     Each step takes the primary left GCD of the running cofactor with the
-    next prime; the same Euclidean loop yields the cofactor left after
-    dividing it off on the left.
+    next prime and divides it off on the left.
 
     Raises:
         ValueError: c not primitive, or prime_order inconsistent with norm(c).
@@ -210,7 +210,7 @@ def full_factor(x: OrderElement) -> Factorization:
     content = int_gcd(*c.coords)
     # content is odd and 4 lies in 2(1+i)O, so c = content*d = +/-d there.
     sign = 1 if content % 4 == 1 else -1
-    primitive_part = OrderElement(*(sign * g // content for g in c.coords))
+    primitive_part = exact_quotient(c, sign * content)
     if not is_primary(primitive_part):
         raise ArithmeticError(f"{primitive_part} is not primary while factoring {x}")
     primes = factor_primitive(primitive_part, _prime_order(primitive_part.norm()))

@@ -6,6 +6,9 @@ subtracting each representative and testing that; e is primary when it
 lies in the class of 1 or of 1 + 2*v3.  Only core arithmetic
 (subtraction, norm) is used, nothing from ``quat1122.dyadic``.
 
+``valuation_1pi`` is the loop the library replaced by one exact division:
+it peels 1+i off e on the left, one factor at a time, while norm(e) is even.
+
 ``unit_congruences_mod2`` is a search the library no longer needs.  It
 reads the library's residues mod 2, and the tests check it against a scan
 of the 24 units.
@@ -15,6 +18,7 @@ from quat1122 import OrderElement, residue_mod_2
 
 ONE = OrderElement(1, 0, 0, 0)
 ONE_PLUS_2V3 = OrderElement(1, 0, 2, 0)
+ONE_MINUS_I = OrderElement(1, -1, 0, 0)
 RESIDUES = (ONE, -ONE, ONE_PLUS_2V3, -ONE_PLUS_2V3)
 
 
@@ -33,6 +37,19 @@ def residue(e):
 
 def is_primary(e):
     return in_ideal(e - ONE) or in_ideal(e - ONE_PLUS_2V3)
+
+
+def valuation_1pi(e):
+    """(r, b) with e = (1+i)^r * b and b odd; e nonzero."""
+    r = 0
+    while e.norm() % 2 == 0:
+        # e = (1+i)*h exactly when (1-i)*e = 2*h.
+        g = (ONE_MINUS_I * e).coords
+        if any(x % 2 for x in g):
+            raise ArithmeticError(f"even-norm element {e} not divisible by 1+i")
+        e = OrderElement(*(x // 2 for x in g))
+        r += 1
+    return r, e
 
 
 def unit_congruences_mod2(b):

@@ -174,7 +174,10 @@ def argvs(rng: random.Random) -> list[list[str]]:
                       quaternion(rng, bound), quaternion(rng, bound)])
     calls += [["gcd", "[2,0,0,0]", "[1,1,0,0]"],
               ["gcd", "--side", "left", "[2,0,0,0]", "[1,1,0,0]"],
-              ["gcd", "[0,0,0,0]", "[0,0,0,0]"], ["gcd", "[0,0,0,0]", "[7,1,2,3]"]]
+              ["gcd", "[0,0,0,0]", "[0,0,0,0]"], ["gcd", "[0,0,0,0]", "[7,1,2,3]"],
+              ["gcd", "[7,1,2,3]", "[0,0,0,0]"],
+              ["gcd", "--side", "left", "[7,1,2,3]", "[0,0,0,0]"],
+              ["gcd", "--side", "left", "[0,0,0,0]", "[7,1,2,3]"]]
 
     # tau: odd moduli up to 10^4, coordinates up to 1e30, refusals
     for _ in range(24):

@@ -24,12 +24,13 @@ from quat1122 import (
     primary_primes_of_norm,
     solve_rs,
 )
-from quat1122.core import ONE_PLUS_I, Record
+from quat1122.core import ONE_PLUS_I, Record, exact_quotient
 from quat1122.repcount import Restriction
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 coords = st.integers(-10**30, 10**30)
+nonzero = coords.filter(bool)
 elements = st.builds(OrderElement, coords, coords, coords, coords)
 sides = st.sampled_from(["left", "right"])
 odd_moduli = st.integers(0, 499).map(lambda k: 2 * k + 1)
@@ -55,6 +56,22 @@ def test_multiplication_distributes_on_both_sides(a, b, c):
 def test_conjugation_reverses_products_and_norm_is_multiplicative(a, b):
     assert (a * b).conjugate() == b.conjugate() * a.conjugate()
     assert (a * b).norm() == a.norm() * b.norm()
+
+
+@PROFILE
+@given(elements, nonzero)
+def test_exact_quotient_inverts_the_integer_multiple(e, n):
+    assert exact_quotient(e * n, n) == e
+
+
+@PROFILE
+@given(elements, nonzero.filter(lambda n: abs(n) > 1), st.integers(0, 3), coords)
+def test_exact_quotient_refuses_a_non_multiple(e, n, k, r):
+    # Coordinate k of e*n moved by 1 .. |n|-1: not divisible by n, whatever its sign.
+    g = list((e * n).coords)
+    g[k] += 1 + r % (abs(n) - 1)
+    with pytest.raises(ArithmeticError, match="is not divisible by"):
+        exact_quotient(OrderElement(*g), n)
 
 
 # -- records ------------------------------------------------------------------

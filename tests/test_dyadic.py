@@ -144,6 +144,19 @@ def test_valuation_properties():
         valuation_1pi(ZERO)
 
 
+def test_valuation_matches_reference_loop():
+    # (1+i)^r * b for odd b and r up to 200, and plain elements, against the
+    # peeling loop the exact division replaced.
+    rng = random.Random(1900)
+    for _ in range(200):
+        e = OrderElement(*(rng.randint(-10**12, 10**12) for _ in range(4)))
+        assert valuation_1pi(e) == ref.valuation_1pi(e)
+        if is_odd(e):
+            r = rng.randint(0, 200)
+            shifted = ONE_PLUS_I ** r * e
+            assert valuation_1pi(shifted) == ref.valuation_1pi(shifted) == (r, e)
+
+
 # -- residues mod 2 ----------------------------------------------------------
 
 def test_mod2_reps():

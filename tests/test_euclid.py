@@ -7,7 +7,7 @@ import euclid_reference
 from quat1122 import OrderElement, div_rem, gcd
 from quat1122.core import ONE, ONE_PLUS_I, ZERO, V3
 from quat1122.dyadic import is_odd, is_primary
-from quat1122.euclid import _normalize, gcd_cofactor
+from quat1122.euclid import _associate, gcd_cofactor
 from quat1122.factor import primary_primes_of_norm
 from quat1122.intarith import factorize
 
@@ -95,8 +95,11 @@ def test_div_rem_matches_reference_search():
 
 
 def check_gcd(a, b, side):
+    # The reference loop's raw (d, x, y), moved to d's canonical associate.
     res = gcd(a, b, side)
-    expected = _normalize(*euclid_reference.gcd_loop(a, b, side), side)
+    d, x, y = euclid_reference.gcd_loop(a, b, side)
+    w, d = _associate(d, side)
+    expected = (d, w * x, w * y) if side == "right" else (d, x * w, y * w)
     assert (res.gcd, *res.cofactors) == expected, (a, b, side)
 
 
@@ -217,8 +220,16 @@ def test_gcd_cofactor_is_gcd_and_rebuilds_a():
 
 
 def test_gcd_zero_cases():
-    a = OrderElement(3, 1, 0, 2)
-    assert divides(gcd(a, ZERO, "right").gcd, a, "right")
-    assert divides(gcd(ZERO, a, "left").gcd, a, "left")
+    # A zero on either side: d divides the other input, d = x*a + y*b
+    # (a*x + b*y on the left), and y = 0 when b = 0.
+    for a in (OrderElement(3, 1, 0, 2), OrderElement(7, 1, 2, 3), ONE_PLUS_I * V3):
+        for side in ("right", "left"):
+            for u, v in ((a, ZERO), (ZERO, a)):
+                res = gcd(u, v, side)
+                d, (x, y) = res.gcd, res.cofactors
+                assert divides(d, a, side)
+                assert (x * u + y * v if side == "right" else u * x + v * y) == d
+                if v.is_zero:
+                    assert y == ZERO
     with pytest.raises(ValueError):
         gcd(ZERO, ZERO, "right")

@@ -283,6 +283,27 @@ def test_cofactor_that_does_not_rebuild_is_an_invariant_violation(monkeypatch, c
     assert captured.err.startswith("internal invariant violation: ")
 
 
+def test_cofactor_division_that_is_not_exact_is_an_invariant_violation(monkeypatch, capsys):
+    # A gcd three times too large does not divide the element: the cofactor's
+    # exact division refuses it before _peel's checks, and factor exits 3.
+    associate = quat1122.euclid._associate
+
+    def tripled(d, side):
+        w, c = associate(d, side)
+        return w, 3 * c
+
+    monkeypatch.setattr(quat1122.euclid, "_associate", tripled)
+    pi = primary_primes_of_norm(13)[0]
+    for side in ("left", "right"):
+        with pytest.raises(ArithmeticError, match="is not divisible by 117"):
+            gcd_cofactor(pi.element, OrderElement(13, 0, 0, 0), side)
+    assert main(["factor", "[6,3,1,-2]"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal invariant violation: ")
+    assert "is not divisible by" in captured.err
+
+
 def seeded_primitives(rng, count, bound):
     """Primitive elements (primary, coprime coordinates) with coordinates below bound."""
     out = []
