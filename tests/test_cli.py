@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import quat1122
-from quat1122 import OrderElement, parse
+from quat1122 import OrderElement, parse, repcount
 from quat1122.cli import build_parser, main
+from quat1122.repcount import CountResult
 
 
 def run(capsys, *argv):
@@ -195,6 +196,87 @@ def test_verify_small_sweep(capsys):
     assert blob["checked"]["ii"] == 8   # odd m with 8m <= 120
 
 
+# -- exit 2: the formula and the enumeration disagree -------------------------------
+
+def formula_one_too_high(monkeypatch, ns, restriction=None):
+    """Patch rep_count_formula to count one too many at each n in ns.
+
+    With a restriction, only that restriction's count is off.
+    """
+    true_formula = repcount.rep_count_formula
+
+    def patched(n, case="none"):
+        result = true_formula(n, case)
+        if n in ns and restriction in (None, case):
+            return CountResult(result.formula_count + 1, result.decomposition)
+        return result
+
+    monkeypatch.setattr(repcount, "rep_count_formula", patched)
+
+
+def test_count_oracle_mismatch_exits_2(capsys, monkeypatch):
+    formula_one_too_high(monkeypatch, {12})
+    assert run(capsys, "count", "12", "--oracle") == (
+        2, "count(12, restriction=none) = 97\noracle(12, restriction=none) = 96\n",
+        "MISMATCH: formula 97 != oracle 96\n")
+    assert run(capsys, "count", "12", "--oracle", "--json") == (
+        2, '{"n": 12, "restriction": "none", "formula": 97, "decomposition": '
+           '{"two_exponent": 2, "odd_part": 3}, "oracle": 96}\n',
+        "MISMATCH: formula 97 != oracle 96\n")
+    # Without --oracle nothing is compared, so nothing can disagree.
+    assert run(capsys, "count", "12") == (0, "count(12, restriction=none) = 97\n", "")
+
+
+#: verify --max-n 120 with the formula one too high at 12, 60 and 100, each of
+#: which is 4 times an odd m and so is checked by restrictions none, i and iii.
+VERIFY_MISMATCHES = [
+    {"n": 12, "restriction": "none", "formula": 97, "oracle": 96},
+    {"n": 60, "restriction": "none", "formula": 577, "oracle": 576},
+    {"n": 100, "restriction": "none", "formula": 745, "oracle": 744},
+    {"n": 12, "restriction": "i", "formula": 17, "oracle": 16},
+    {"n": 60, "restriction": "i", "formula": 97, "oracle": 96},
+    {"n": 100, "restriction": "i", "formula": 125, "oracle": 124},
+    {"n": 12, "restriction": "iii", "formula": 65, "oracle": 64},
+    {"n": 60, "restriction": "iii", "formula": 385, "oracle": 384},
+    {"n": 100, "restriction": "iii", "formula": 497, "oracle": 496},
+]
+VERIFY_CHECKED = '"checked": {"none": 120, "i": 15, "ii": 8, "iii": 15}'
+
+
+def test_verify_mismatch_exits_2(capsys, monkeypatch):
+    formula_one_too_high(monkeypatch, {12, 60, 100})
+    stderr = "".join(f"MISMATCH: {m}\n" for m in VERIFY_MISMATCHES)
+    assert stderr.startswith(
+        "MISMATCH: {'n': 12, 'restriction': 'none', 'formula': 97, 'oracle': 96}\n")
+    assert run(capsys, "verify", "--max-n", "120") == (
+        2, "representation formula vs oracle for n in [1, 120]: MISMATCH\n"
+           "complementary case i (15 odd m values): MISMATCH\n"
+           "complementary case ii (8 odd m values): OK\n"
+           "complementary case iii (15 odd m values): MISMATCH\n"
+           "verification FAILED\n", stderr)
+    mismatches = ", ".join(
+        f'{{"n": {m["n"]}, "restriction": "{m["restriction"]}", '
+        f'"formula": {m["formula"]}, "oracle": {m["oracle"]}}}' for m in VERIFY_MISMATCHES)
+    assert run(capsys, "verify", "--max-n", "120", "--json") == (
+        2, f'{{"max_n": 120, {VERIFY_CHECKED}, "mismatches": [{mismatches}], '
+           f'"ok": false}}\n', stderr)
+
+
+def test_verify_mismatch_in_one_restriction_only(capsys, monkeypatch):
+    # 24 = 8 * 3 is checked by restriction ii; only that count is off.
+    formula_one_too_high(monkeypatch, {24}, restriction="ii")
+    stderr = "MISMATCH: {'n': 24, 'restriction': 'ii', 'formula': 65, 'oracle': 64}\n"
+    assert run(capsys, "verify", "--max-n", "120") == (
+        2, "representation formula vs oracle for n in [1, 120]: OK\n"
+           "complementary case i (15 odd m values): OK\n"
+           "complementary case ii (8 odd m values): MISMATCH\n"
+           "complementary case iii (15 odd m values): OK\n"
+           "verification FAILED\n", stderr)
+    assert run(capsys, "verify", "--max-n", "120", "--json") == (
+        2, f'{{"max_n": 120, {VERIFY_CHECKED}, "mismatches": [{{"n": 24, '
+           f'"restriction": "ii", "formula": 65, "oracle": 64}}], "ok": false}}\n', stderr)
+
+
 def test_unknown_verb(capsys):
     code, _, err = run(capsys, "bogus")
     assert code == 1
@@ -249,11 +331,23 @@ def test_importing_cli_builds_no_parser():
     assert proc.stdout == "0\n"
 
 
-def test_each_verb_form_twice_gives_the_same_bytes(capsys):
+#: The exit-2 forms, run with the formula one too high at n = 12.
+MISMATCH_FORMS = [
+    ["count", "12", "--oracle"], ["count", "12", "--oracle", "--json"],
+    ["verify", "--max-n", "64"], ["verify", "--max-n", "120", "--json"],
+]
+
+
+def test_each_verb_form_twice_gives_the_same_bytes(capsys, monkeypatch):
     first = [run(capsys, *argv) for argv in VERB_FORMS]
     second = [run(capsys, *argv) for argv in VERB_FORMS]
     assert first == second
     assert [code for code, _, _ in first] == [0] * 14 + [1] * 6
+    formula_one_too_high(monkeypatch, {12})
+    first = [run(capsys, *argv) for argv in MISMATCH_FORMS]
+    second = [run(capsys, *argv) for argv in MISMATCH_FORMS]
+    assert first == second
+    assert [code for code, _, _ in first] == [2] * 4
 
 
 def test_usage_error_between_good_calls(capsys):
@@ -288,11 +382,15 @@ def test_help_is_unchanged_by_the_cache(capsys, monkeypatch, argv):
     assert capsys.readouterr() == first
 
 
-def test_reader_closing_early_gets_no_traceback(tmp_path):
-    # The JSON of 19998 primes is far larger than a pipe holds, so the
+@pytest.mark.parametrize("form, start", [
+    ([], b"19998 primary primes of norm 19997:\n  "),
+    (["--json"], b'{"p": 19997, "count": 19998, "primes": ['),
+], ids=["text", "json"])
+def test_reader_closing_early_gets_no_traceback(tmp_path, form, start):
+    # Either form of 19998 primes is far larger than a pipe holds, so the
     # writer is still writing when the reader closes after 64 bytes.
     src = str(Path(quat1122.__file__).resolve().parents[1])
-    argv = [sys.executable, "-m", "quat1122.cli", "primes", "-p", "19997", "--json"]
+    argv = [sys.executable, "-m", "quat1122.cli", "primes", "-p", "19997", *form]
     with open(tmp_path / "stderr.txt", "w+b") as err, subprocess.Popen(
             argv, stdout=subprocess.PIPE, stderr=err,
             env={**os.environ, "PYTHONPATH": src}) as proc:
@@ -301,4 +399,4 @@ def test_reader_closing_early_gets_no_traceback(tmp_path):
         assert proc.wait(timeout=60) == 1
         err.seek(0)
         assert err.read() == b""
-    assert head.startswith(b'{"p": 19997, "count": 19998, "primes": [')
+    assert head.startswith(start)
