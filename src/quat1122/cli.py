@@ -1,8 +1,8 @@
 """Command-line front end: counting, factoring, GCDs, the matrix map, sweeps.
 
-Exit codes: 0 success, 1 invalid arguments or malformed input, 2 a
-verification sweep found a formula/oracle mismatch, 3 an internal
-invariant was violated.
+Exit codes: 0 success, 1 invalid arguments or malformed input, 2 the
+formula and the oracle disagreed (``count --oracle`` or ``verify``), 3 an
+internal invariant was violated.
 
 Quaternions are written in basis form "[g1,g2,g3,g4]" or half form
 "(A+Bi+Cr2j+Dr2k)/2"; JSON output encodes them as {"v": [g1,g2,g3,g4]}.
@@ -11,6 +11,12 @@ Each verb imports the layers it runs when it runs, so a process loads only
 those: ``primary`` core and dyadic, ``gcd`` those and euclid, ``tau`` modm
 and intarith, ``count`` and ``verify`` the repcount stack, and ``factor``
 and ``primes`` every layer.
+
+Each verb's runner ``_run_<verb>(args)`` returns ``(payload, lines,
+mismatches)``: the JSON object, the text lines, and each formula/oracle
+disagreement it found.  It writes nothing.  Only ``main`` writes output and
+picks the exit code: the payload under ``--json``, else the lines, then one
+``MISMATCH:`` line on stderr per mismatch; it maps exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -41,17 +47,9 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; this artifact reserves 2
-    # for verification mismatches, so route usage problems to exit 1.
+    # for formula/oracle mismatches, so route usage problems to exit 1.
     def error(self, message):
         raise _UsageError(message)
-
-
-def _emit(args, payload: dict, human_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for line in human_lines:
-            print(line)
 
 
 def _quat(text: str) -> OrderElement:
@@ -64,7 +62,7 @@ def _quat(text: str) -> OrderElement:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _run_count(args) -> int:
+def _run_count(args) -> tuple[dict, list[str], list]:
     from . import repcount
 
     n = args.n
@@ -80,17 +78,16 @@ def _run_count(args) -> int:
     payload = {"n": n, "restriction": args.restriction, "formula": formula,
                "decomposition": decomposition}
     lines = [f"count({n}, restriction={args.restriction}) = {formula}"]
+    mismatches = []
     if args.oracle:
         payload["oracle"] = oracle
         lines.append(f"oracle({n}, restriction={args.restriction}) = {oracle}")
-    _emit(args, payload, lines)
-    if oracle is not None and oracle != formula:
-        print(f"MISMATCH: formula {formula} != oracle {oracle}", file=sys.stderr)
-        return 2
-    return 0
+        if oracle != formula:
+            mismatches.append(f"formula {formula} != oracle {oracle}")
+    return payload, lines, mismatches
 
 
-def _run_factor(args) -> int:
+def _run_factor(args) -> tuple[dict, list[str], list]:
     from .factor import full_factor
 
     fact = full_factor(args.quat)
@@ -104,11 +101,10 @@ def _run_factor(args) -> int:
         f"  primes:          {[str(p.element) for p in fact.primes]}",
         f"  reassembled:     {fact.reassemble()}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, []
 
 
-def _run_gcd(args) -> int:
+def _run_gcd(args) -> tuple[dict, list[str], list]:
     from . import euclid
 
     result = euclid.gcd(args.a, args.b, args.side)
@@ -119,11 +115,10 @@ def _run_gcd(args) -> int:
         identity = f"{result.gcd} = ({x})*a + ({y})*b"
     else:
         identity = f"{result.gcd} = a*({x}) + b*({y})"
-    _emit(args, payload, [f"gcd_{args.side}(a, b) = {result.gcd}", identity])
-    return 0
+    return payload, [f"gcd_{args.side}(a, b) = {result.gcd}", identity], []
 
 
-def _run_tau(args) -> int:
+def _run_tau(args) -> tuple[dict, list[str], list]:
     from .modm import reduce_mod_m, solve_rs, tau
 
     params = solve_rs(args.m)
@@ -138,11 +133,10 @@ def _run_tau(args) -> int:
         f"tau = {matrix.rows()}",
         f"det = {matrix.det()} = norm mod m = {residue.norm()}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, []
 
 
-def _run_primary(args) -> int:
+def _run_primary(args) -> tuple[dict, list[str], list]:
     from .dyadic import primary_associate
 
     unit, primary = primary_associate(args.quat, args.side)
@@ -151,11 +145,10 @@ def _run_primary(args) -> int:
         lines = [f"b * {unit} = {primary} (primary)"]
     else:
         lines = [f"{unit} * b = {primary} (primary)"]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, []
 
 
-def _run_primes(args) -> int:
+def _run_primes(args) -> tuple[dict, list[str], list]:
     from .factor import primary_primes_of_norm
 
     primes = primary_primes_of_norm(args.p)
@@ -163,19 +156,21 @@ def _run_primes(args) -> int:
                "primes": [pi.element.to_json() for pi in primes]}
     lines = [f"{len(primes)} primary primes of norm {args.p}:"]
     lines += [f"  {pi.element}" for pi in primes]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, []
 
 
-def _run_verify(args) -> int:
+def _run_verify(args) -> tuple[dict, list[str], list]:
     from . import repcount
 
     limit = args.max_n
     mismatches: list[dict] = []
     checked: dict[str, int] = {}
-    for case in ("none", "i", "ii", "iii"):
-        counts = repcount.rep_counts_upto(limit, case)
-        admissible = repcount.RESTRICTIONS[case].admissible(limit)
+    tables: dict[tuple, list[int]] = {}  # one per parity pattern: i and ii share one
+    for case, rule in repcount.RESTRICTIONS.items():
+        if rule.patterns not in tables:
+            tables[rule.patterns] = repcount.rep_counts_upto(limit, case)
+        counts = tables[rule.patterns]
+        admissible = rule.admissible(limit)
         for n in admissible:
             formula = repcount.rep_count_formula(n, case).formula_count
             if counts[n] != formula:
@@ -185,21 +180,13 @@ def _run_verify(args) -> int:
 
     payload = {"max_n": limit, "checked": checked,
                "mismatches": mismatches, "ok": not mismatches}
-    lines = [
-        f"representation formula vs oracle for n in [1, {limit}]: "
-        f"{'OK' if not any(m['restriction'] == 'none' for m in mismatches) else 'MISMATCH'}",
-    ]
-    for case in ("i", "ii", "iii"):
-        bad = any(m["restriction"] == case for m in mismatches)
-        lines.append(f"complementary case {case} ({checked[case]} odd m values): "
-                     f"{'OK' if not bad else 'MISMATCH'}")
-    lines.append("verification " + ("PASSED" if not mismatches else "FAILED"))
-    _emit(args, payload, lines)
-    if mismatches:
-        for miss in mismatches:
-            print(f"MISMATCH: {miss}", file=sys.stderr)
-        return 2
-    return 0
+    bad = {m["restriction"] for m in mismatches}
+    lines = [f"representation formula vs oracle for n in [1, {limit}]: "
+             f"{'MISMATCH' if 'none' in bad else 'OK'}"]
+    lines += [f"complementary case {case} ({checked[case]} odd m values): "
+              f"{'MISMATCH' if case in bad else 'OK'}" for case in ("i", "ii", "iii")]
+    lines.append("verification " + ("FAILED" if mismatches else "PASSED"))
+    return payload, lines, mismatches
 
 
 @cache
@@ -259,26 +246,25 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        status = args.func(args)
+        args = build_parser().parse_args(argv)
+        payload, lines, mismatches = args.func(args)
+        print(json.dumps(payload) if args.json else "\n".join(lines))
+        for miss in mismatches:
+            print(f"MISMATCH: {miss}", file=sys.stderr)
         sys.stdout.flush()  # a reader that closed early shows here, not at exit
     except BrokenPipeError:
         # Python's documented recipe: the flush at exit then writes to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    # _UsageError is no ValueError, so argparse cannot take one for a bad value.
+    except (_UsageError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
-    return status
+    return 2 if mismatches else 0
 
 
 if __name__ == "__main__":
