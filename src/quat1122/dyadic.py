@@ -109,7 +109,8 @@ def valuation_1pi(e: OrderElement) -> tuple[int, OrderElement]:
 
 def residue_mod_2(e: OrderElement) -> OrderElement:
     """The unique representative of e in the 16-element residue system mod 2."""
-    return _MOD2_LOOKUP[tuple(g % 2 for g in e.coords)]
+    # Written out over the four coordinates: no generator per call.
+    return _MOD2_LOOKUP[e.g1 & 1, e.g2 & 1, e.g3 & 1, e.g4 & 1]
 
 
 def is_primary(e: OrderElement) -> bool:

@@ -10,11 +10,13 @@ is checked at runtime.
 
 One step kernel does this on half-coordinate integer 4-tuples: it forms the
 numerator, decodes the quotient, multiplies back and checks the remainder,
-with every product through ``core.half_product`` and its exact halving.
-``div_rem`` is one step between elements.  One Euclidean loop, shared by
-``gcd`` and ``gcd_cofactor``, runs on tuples and carries only the Bezout
-coefficient of a (one product per step).  Each one-sided product, on tuples
-or elements, goes through ``dyadic._sided``.
+with every product through ``core.half_product`` and its exact halving,
+its operands written in side order.  ``div_rem`` is one step between
+elements.  One Euclidean loop, shared by ``gcd`` and ``gcd_cofactor``, runs
+on tuples and carries no Bezout coefficient: it returns its quotients, and
+``gcd`` alone folds the coefficient of a over them (one product per step).
+Every other one-sided product, on tuples or elements, goes through
+``dyadic._sided``.
 
 ``gcd`` returns a ``GcdResult``: the GCD d, its Bezout pair (x, y) and the
 side.  For the right GCD of (a, b), d divides a and b on the right and
@@ -36,8 +38,6 @@ TYPE_CHECKING = False  # typing's own flag without importing typing (3-4 ms)
 if TYPE_CHECKING:
     from .dyadic import Side
 
-#: Half-coordinate parities of the four cosets of 2Z^4 that make up the order.
-_COSETS = ((0, 0, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1), (0, 0, 1, 1))
 #: The half coordinates of 1 and 0.
 _ONE, _ZERO = (2, 0, 0, 0), (0, 0, 0, 0)
 
@@ -64,8 +64,9 @@ def _step(a, b, side: Side):
     # a*conj(b) (conj(b)*a) as the best of the four coset points.
     A, B, C, D = b
     nb = (A * A + B * B + 2 * (C * C + D * D)) >> 2
-    mul = _sided(side, half_product)
-    H = mul(a, (A, -B, -C, -D))
+    right = side == "right"
+    bc = (A, -B, -C, -D)
+    ha, hb, hc, hd = half_product(a, bc) if right else half_product(bc, a)
     # x = p + 2*ceil((h/nb - p - 1)/2) is the integer of parity p nearest to
     # h/nb, the lower one on a tie; x*nb - h is its error.  No tie is lost:
     # were the least-coordinate quotient of least norm(r) an upper tie in A
@@ -73,21 +74,23 @@ def _step(a, b, side: Side):
     # step of (-1,-1,-1,0) or (-1,-1,0,-1), would keep norm(r) and lower the
     # quotient's coordinates.
     nb2 = 2 * nb
-    rounded = []
-    for h in H:
-        even = -2 * ((nb - h) // nb2)
-        odd = 1 - 2 * ((nb2 - h) // nb2)
-        e, o = even * nb - h, odd * nb - h
-        rounded.append(((even, e * e), (odd, o * o)))
-    ra, rb, rc, rd = rounded
-    best = None
-    for pa, pb, pc, pd in _COSETS:
-        (xa, ea), (xb, eb), (xc, ec), (xd, ed) = ra[pa], rb[pb], rc[pc], rd[pd]
-        # 4*nb*norm(r), then the quotient's basis coordinates.
-        key = (ea + eb + 2 * (ec + ed), (xa - xc - xd) >> 1, (xb - xc - xd) >> 1, xc, xd)
-        if best is None or key < best:
-            best, q = key, (xa, xb, xc, xd)
-    r = _sub(a, mul(q, b))
+    a0, a1 = -2 * ((nb - ha) // nb2), 1 - 2 * ((nb2 - ha) // nb2)
+    b0, b1 = -2 * ((nb - hb) // nb2), 1 - 2 * ((nb2 - hb) // nb2)
+    c0, c1 = -2 * ((nb - hc) // nb2), 1 - 2 * ((nb2 - hc) // nb2)
+    d0, d1 = -2 * ((nb - hd) // nb2), 1 - 2 * ((nb2 - hd) // nb2)
+    ea0, ea1 = (a0 * nb - ha) ** 2, (a1 * nb - ha) ** 2
+    eb0, eb1 = (b0 * nb - hb) ** 2, (b1 * nb - hb) ** 2
+    ec0, ec1 = 2 * (c0 * nb - hc) ** 2, 2 * (c1 * nb - hc) ** 2
+    ed0, ed1 = 2 * (d0 * nb - hd) ** 2, 2 * (d1 * nb - hd) ** 2
+    # The cosets of parities 0000, 1110, 1101 and 0011, each keyed by
+    # 4*nb*norm(r), then the quotient's basis coordinates.
+    q = min(
+        ((ea0 + eb0 + ec0 + ed0, (a0 - c0 - d0) >> 1, (b0 - c0 - d0) >> 1, c0, d0), (a0, b0, c0, d0)),
+        ((ea1 + eb1 + ec1 + ed0, (a1 - c1 - d0) >> 1, (b1 - c1 - d0) >> 1, c1, d0), (a1, b1, c1, d0)),
+        ((ea1 + eb1 + ec0 + ed1, (a1 - c0 - d1) >> 1, (b1 - c0 - d1) >> 1, c0, d1), (a1, b1, c0, d1)),
+        ((ea0 + eb0 + ec1 + ed1, (a0 - c1 - d1) >> 1, (b0 - c1 - d1) >> 1, c1, d1), (a0, b0, c1, d1)),
+    )[1]
+    r = _sub(a, half_product(q, b) if right else half_product(b, q))
     RA, RB, RC, RD = r
     nr = (RA * RA + RB * RB + 2 * (RC * RC + RD * RD)) >> 2
     if nr >= nb:
@@ -129,17 +132,18 @@ def _associate(d: OrderElement, side: Side) -> tuple[OrderElement, OrderElement]
 
 def _euclid(a: OrderElement, b: OrderElement, side: Side):
     # The one Euclidean loop, on tuples: the canonical d, the unit w with
-    # d = w*r (r*w on the left) for the last remainder r, and r's raw x in
-    # r = x*a + y*b (a*x + b*y on the left); y is not carried.
-    mul = _sided(side, half_product)
+    # d = w*r (r*w on the left) for the last remainder r, and the quotients
+    # of its steps, from which gcd alone folds the Bezout coefficient x.
+    _sided(side)  # refuse a bad side before the first step
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    r0, r1, x0, x1 = a.half_coords, b.half_coords, _ONE, _ZERO
+    r0, r1, qs = a.half_coords, b.half_coords, []
     while any(r1):
         q, r = _step(r0, r1, side)
-        r0, r1, x0, x1 = r1, r, x1, _sub(x0, mul(q, x1))
+        r0, r1 = r1, r
+        qs.append(q)
     w, d = _associate(OrderElement.from_half(*r0), side)
-    return d, w, x0
+    return d, w, qs
 
 
 def gcd(a: OrderElement, b: OrderElement, side: Side = "right") -> GcdResult:
@@ -155,9 +159,14 @@ def gcd(a: OrderElement, b: OrderElement, side: Side = "right") -> GcdResult:
         ValueError: both arguments are zero.
         ArithmeticError: that division is not exact (impossible; a runtime check).
     """
+    d, w, qs = _euclid(a, b, side)
+    # r_i = x_i*a + y_i*b (a*x_i + b*y_i on the left), one product per step.
+    hmul = _sided(side, half_product)
+    x0, x1 = _ONE, _ZERO
+    for q in qs:
+        x0, x1 = x1, _sub(x0, hmul(q, x1))
     mul = _sided(side)
-    d, w, x = _euclid(a, b, side)
-    x = mul(w, OrderElement.from_half(*x))
+    x = mul(w, OrderElement.from_half(*x0))
     y = ZERO if b.is_zero else exact_quotient(mul(d - mul(x, a), b.conjugate()), b.norm())
     return GcdResult(d, (x, y), side)
 

@@ -13,7 +13,9 @@ one-sided GCD with p, which the Euclidean layer normalizes to its primary
 associate.  One step, ``_peel``, does this on either side with
 ``euclid.gcd_cofactor``, which also returns the cofactor that
 factor_primitive carries on to the next prime; it and the content come off
-by one exact division, ``core.exact_quotient``.
+by one exact division, ``core.exact_quotient``.  The last prime takes no
+gcd: a primary element of norm p is its own gcd with p, so the cofactor
+left after the other primes is the last prime itself.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd as int_gcd
 
-from .core import ONE, ONE_PLUS_I, OrderElement, Record, exact_quotient
+from .core import ONE_PLUS_I, OrderElement, Record, exact_quotient
 from .dyadic import _sided, is_primary, primary_associate, valuation_1pi
 from .euclid import gcd_cofactor
 # Unused here: bench/selftest.py checks that its tracer patches euclid.gcd under this name.
@@ -171,13 +173,15 @@ def factor_primitive(c: OrderElement, prime_order: list[int]) -> list[PrimaryPri
     prime_order must list the rational prime factorization of norm(c), with
     multiplicity, in the desired left-to-right order; any ordering works.
     Each step takes the primary left GCD of the running cofactor with the
-    next prime and divides it off on the left.
+    next prime and divides it off on the left.  The last prime is the
+    cofactor left over, checked to be primary of norm prime_order[-1] (with
+    an empty order, to be 1).
 
     Raises:
         ValueError: c not primitive, or prime_order inconsistent with norm(c).
         ArithmeticError: a peeled GCD has the wrong norm or times its cofactor
-            does not give the running cofactor back, or the final cofactor is
-            not 1 (fatal invariant violations).
+            does not give the running cofactor back, or the last cofactor is
+            not primary of the last prime's norm (fatal invariant violations).
     """
     if not is_primitive(c):
         raise ValueError(f"{c} is not primitive (primary with coprime coordinates)")
@@ -187,11 +191,17 @@ def factor_primitive(c: OrderElement, prime_order: list[int]) -> list[PrimaryPri
         )
     out: list[PrimaryPrime] = []
     cofactor = c
-    for p in prime_order:
+    for p in prime_order[:-1]:
         pi, cofactor = _peel(cofactor, p, "left")
         out.append(pi)
-    if cofactor != ONE:
-        raise ArithmeticError(f"factorization of {c} left cofactor {cofactor}, not 1")
+    # A primary element of norm p is its own left gcd with p: the last prime
+    # needs no peel.  With no primes the cofactor is c, primary of norm 1: 1.
+    last = prime_order[-1] if prime_order else 1
+    if cofactor.norm() != last or not is_primary(cofactor):
+        raise ArithmeticError(
+            f"factorization of {c} left cofactor {cofactor}, not primary of norm {last}")
+    if prime_order:
+        out.append(PrimaryPrime(cofactor, last))
     return out
 
 

@@ -25,6 +25,7 @@ from quat1122.dyadic import (
     COSET_REPS_1PI,
     COSET_REPS_MOD2,
     ONE_PLUS_2V3,
+    _MOD2_LOOKUP,
 )
 
 
@@ -179,6 +180,18 @@ def test_residue_mod_2_congruence():
     for _ in range(300):
         e = OrderElement(*(rng.randint(-30, 30) for _ in range(4)))
         assert all(g % 2 == 0 for g in (e - residue_mod_2(e)).coords)
+
+
+def test_residue_mod_2_reads_the_parity_of_each_coordinate():
+    # The written-out parities g & 1 agree with the generator g % 2 on all 16
+    # classes, with negative coordinates too.
+    seen = set()
+    for parities in itertools.product((0, 1), repeat=4):
+        for signs in itertools.product((1, -1), repeat=4):
+            e = OrderElement(*(s * (g + 2 * k) for s, g, k in zip(signs, parities, (3, 0, 5, 1))))
+            assert residue_mod_2(e) == _MOD2_LOOKUP[tuple(g % 2 for g in e.coords)]
+            seen.add(residue_mod_2(e))
+    assert seen == set(COSET_REPS_MOD2)
 
 
 def test_odd_elements_are_units_mod_2():

@@ -123,11 +123,12 @@ def test_gcd_with_a_prime_matches_reference_loop():
 
 
 def test_div_rem_checks_the_remainder_at_runtime(monkeypatch):
-    # With a coset missing from the decoder's table, V3 / 1 leaves a remainder
-    # of norm 1; the check raises ArithmeticError (exit 3), not an assert.
+    # With every product read as 0 the decoder sees a zero numerator and
+    # returns q = 0, so V3 / 1 leaves a remainder of norm 1; the check raises
+    # ArithmeticError (exit 3), not an assert.
     import quat1122.euclid as euclid
 
-    monkeypatch.setattr(euclid, "_COSETS", euclid._COSETS[:1])
+    monkeypatch.setattr(euclid, "half_product", lambda u, v: (0, 0, 0, 0))
     for side in ("right", "left"):
         with pytest.raises(ArithmeticError, match="remainder norm 1 >= 1"):
             div_rem(V3, ONE, side)

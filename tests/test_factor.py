@@ -253,12 +253,14 @@ def test_factor_primitive_rejects_bad_input():
 
 def test_gcd_of_wrong_norm_is_an_invariant_violation(monkeypatch, capsys):
     # A gcd whose norm is not p cannot happen; faking one reaches exit 3.
+    # factor_primitive peels every prime but the last, so it takes two primes.
     monkeypatch.setattr(quat1122.factor, "gcd_cofactor", lambda a, b, side: (ONE, a))
     pi = primary_primes_of_norm(3)[0]
     with pytest.raises(ArithmeticError, match="right gcd of .* has norm 1, expected 3"):
         primary_prime_from(pi.element, 3)
+    c = pi.element * primary_primes_of_norm(5)[0].element
     with pytest.raises(ArithmeticError, match="left gcd of .* has norm 1, expected 3"):
-        factor_primitive(pi.element, [3])
+        factor_primitive(c, [3, 5])
     assert main(["factor", "[6,3,1,-2]"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -275,12 +277,60 @@ def test_cofactor_that_does_not_rebuild_is_an_invariant_violation(monkeypatch, c
     pi = primary_primes_of_norm(3)[0]
     with pytest.raises(ArithmeticError, match=r"times the cofactor .* \(right\) is not"):
         primary_prime_from(pi.element, 3)
+    c = pi.element * primary_primes_of_norm(5)[0].element
     with pytest.raises(ArithmeticError, match=r"times the cofactor .* \(left\) is not"):
-        factor_primitive(pi.element, [3])
+        factor_primitive(c, [3, 5])
     assert main(["factor", "[6,3,1,-2]"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal invariant violation: ")
+
+
+@pytest.mark.parametrize("fault", [
+    lambda c: -c,  # an associate of the last prime, not primary
+    lambda c: -3 * c,  # primary, of 9 times the last prime's norm
+], ids=["not-primary", "wrong-norm"])
+def test_last_cofactor_that_is_not_the_last_prime_is_an_invariant_violation(
+        monkeypatch, capsys, fault):
+    # The last prime is the leftover cofactor itself, checked to be primary of
+    # norm prime_order[-1]; a peel that leaves anything else reaches exit 3.
+    peel = quat1122.factor._peel
+
+    def faulty_peel(f, p, side):
+        pi, c = peel(f, p, side)
+        return pi, fault(c)
+
+    monkeypatch.setattr(quat1122.factor, "_peel", faulty_peel)
+    c = primary_primes_of_norm(3)[0].element * primary_primes_of_norm(5)[0].element
+    with pytest.raises(ArithmeticError, match="not primary of norm 5"):
+        factor_primitive(c, [3, 5])
+    assert main(["factor", "[6,3,1,-2]"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal invariant violation: ")
+    assert "left cofactor" in captured.err
+
+
+def test_factor_primitive_peels_every_prime_but_the_last(monkeypatch):
+    # An empty order and one prime take no gcd; p^2 (the last two primes
+    # equal) takes one, and its two primes come back in order.
+    peel, peeled = quat1122.factor._peel, []
+
+    def counted_peel(f, p, side):
+        peeled.append(p)
+        return peel(f, p, side)
+
+    monkeypatch.setattr(quat1122.factor, "_peel", counted_peel)
+    assert factor_primitive(ONE, []) == []
+    for pi in primary_primes_of_norm(5):
+        assert factor_primitive(pi.element, [5]) == [pi]
+    assert peeled == []
+    threes = primary_primes_of_norm(3)
+    pairs = [(a, b) for a in threes for b in threes if is_primitive(a.element * b.element)]
+    assert len(pairs) == 12
+    for a, b in pairs:
+        assert factor_primitive(a.element * b.element, [3, 3]) == [a, b]
+    assert peeled == [3] * len(pairs)
 
 
 def test_cofactor_division_that_is_not_exact_is_an_invariant_violation(monkeypatch, capsys):
