@@ -15,7 +15,8 @@ even) is where the norm literally evaluates the quadratic form on integer
 4-tuples; ``is_integral`` tests membership.
 
 An element is divided by a known divisor d in one way: multiplied by conj(d)
-on d's side, then divided by norm(d) with the checked ``exact_quotient``.
+on d's side, then divided by norm(d) with the checked ``exact_quotient``,
+whose rule, ``exact_coords``, divides half-coordinate tuples too.
 
 All values are immutable and every operation is a pure function.
 """
@@ -271,12 +272,26 @@ def half_product(u, v) -> tuple[int, int, int, int]:
     return AA >> 1, BB >> 1, CC >> 1, DD >> 1
 
 
+def half_norm(h) -> int:
+    """The norm (A^2 + B^2 + 2C^2 + 2D^2)/4 of the element with half coordinates h."""
+    A, B, C, D = h
+    return (A * A + B * B + 2 * (C * C + D * D)) >> 2
+
+
+def exact_coords(g1: int, g2: int, g3: int, g4: int, n: int) -> tuple[int, int, int, int]:
+    """(g1, g2, g3, g4)/n for a nonzero integer n: the one exact-division rule.
+
+    ArithmeticError unless n divides every basis coordinate.
+    """
+    # Written out over the four coordinates: no generator per call.
+    if g1 % n or g2 % n or g3 % n or g4 % n:
+        raise ArithmeticError(f"{OrderElement(g1, g2, g3, g4)} is not divisible by {n}")
+    return g1 // n, g2 // n, g3 // n, g4 // n
+
+
 def exact_quotient(e: OrderElement, n: int) -> OrderElement:
     """e/n for a nonzero integer n; ArithmeticError unless n divides every coordinate."""
-    # Written out over the four coordinates: no generator or tuple per call.
-    if e.g1 % n or e.g2 % n or e.g3 % n or e.g4 % n:
-        raise ArithmeticError(f"{e} is not divisible by {n}")
-    return OrderElement(e.g1 // n, e.g2 // n, e.g3 // n, e.g4 // n)
+    return OrderElement(*exact_coords(e.g1, e.g2, e.g3, e.g4, n))
 
 
 def _coerce(value: OrderElement | int) -> OrderElement:

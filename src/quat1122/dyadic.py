@@ -11,16 +11,22 @@ one primary associate per side; primary elements are the canonical
 representatives used throughout factorization and counting.  The class is
 read off the coordinates: e = 1 (mod 2) exactly when g1 is odd and g2, g3,
 g4 are even, and then e = 1 + 2h lies in class k of CANONICAL_RESIDUES_2_1PI
-when h = COSET_REPS_1PI[k] modulo (1+i).
+when h = COSET_REPS_1PI[k] modulo (1+i); ``_class_2_1pi`` reads it for
+every caller.  One kernel on half coordinates, ``_primary_half``, takes
+every primary associate: ``primary_associate`` wraps it, and ``euclid``
+normalizes each odd gcd with it.
 
-One rule, ``_sided``, orders every one-sided product: x*y right, y*x left.
+One rule orders every one-sided product: x*y right, y*x left.  ``_sided``
+applies it; the kernel writes its one product in that order.
 """
 
 from __future__ import annotations
 
 import operator
 
-from .core import I, ONE, UNITS_MOD_SIGN, V3, V4, ZERO, OrderElement, exact_quotient
+from .core import (
+    I, ONE, UNITS_MOD_SIGN, V3, V4, ZERO, OrderElement, exact_quotient, half_product,
+)
 
 TYPE_CHECKING = False  # typing's own flag without importing typing (3-4 ms)
 if TYPE_CHECKING:
@@ -45,6 +51,8 @@ _MOD2_LOOKUP = {
 }
 if len(_MOD2_LOOKUP) != 16:
     raise ArithmeticError("the residue system mod 2 does not hold 16 classes")
+#: The same classes, each representative given by its half coordinates.
+_MOD2_HALF = {key: rep.half_coords for key, rep in _MOD2_LOOKUP.items()}
 
 #: The four classes of elements congruent to 1 mod 2, taken mod 2*(1+i).
 CANONICAL_RESIDUES_2_1PI = (ONE, -ONE, ONE_PLUS_2V3, -ONE_PLUS_2V3)
@@ -67,9 +75,9 @@ def _index_1pi(g1: int, g2: int, g3: int, g4: int) -> int:
     return (g1 + g2 + g4) % 2 + 2 * ((g3 + g4) % 2)
 
 
-def _class_2_1pi(e: OrderElement) -> int | None:
-    """Index into CANONICAL_RESIDUES_2_1PI of e mod 2*(1+i); None unless e = 1 mod 2."""
-    g1, g2, g3, g4 = e.coords
+def _class_2_1pi(g1: int, g2: int, g3: int, g4: int) -> int | None:
+    """Index into CANONICAL_RESIDUES_2_1PI of the element with basis coordinates
+    (g1, g2, g3, g4) mod 2*(1+i); None unless it is 1 mod 2."""
     if not g1 & 1 or (g2 | g3 | g4) & 1:
         return None
     return _index_1pi(g1 >> 1, g2 >> 1, g3 >> 1, g4 >> 1)
@@ -115,7 +123,7 @@ def residue_mod_2(e: OrderElement) -> OrderElement:
 
 def is_primary(e: OrderElement) -> bool:
     """True when e = 1 or 1 + 2*v3 modulo 2*(1+i) (indices 0 and 2 of the classes)."""
-    return _class_2_1pi(e) in (0, 2)
+    return _class_2_1pi(e.g1, e.g2, e.g3, e.g4) in (0, 2)
 
 
 def primary_associate(b: OrderElement, side: Side = "right") -> tuple[OrderElement, OrderElement]:
@@ -130,17 +138,34 @@ def primary_associate(b: OrderElement, side: Side = "right") -> tuple[OrderEleme
             or a bad side.
         ArithmeticError: the congruence or the uniqueness fails (impossible).
     """
-    mul = _sided(side)
+    _sided(side)  # refuse a bad side before an even norm
     if not is_odd(b):
         raise ValueError(f"{b} has even norm; no primary associate exists")
-    u = residue_mod_2(b.conjugate())
-    c = mul(b, u)
-    if _class_2_1pi(c) is None:
+    u, c = _primary_half(b.half_coords, side)
+    return OrderElement.from_half(*u), OrderElement.from_half(*c)
+
+
+def _primary_half(h, side: Side):
+    # primary_associate on the half coordinates h of an odd element, for a
+    # side already checked: (u, c) as half coordinates.  u is read from the
+    # basis parities of conj(h) = (A, -B, -C, -D), which are
+    # ((A+C+D)/2, (C+D-B)/2, C, D) mod 2.
+    A, B, C, D = h
+    u = _MOD2_HALF[(A + C + D) >> 1 & 1, (C + D - B) >> 1 & 1, C & 1, D & 1]
+    c = half_product(h, u) if side == "right" else half_product(u, h)
+    A, B, C, D = c
+    g1, g2 = (A - C - D) >> 1, (B - C - D) >> 1
+    k = _class_2_1pi(g1, g2, C, D)
+    if k is None:
+        b, u = OrderElement.from_half(*h), OrderElement.from_half(*u)
         raise ArithmeticError(f"{b} times {u} ({side}) is not 1 mod 2")
-    primary = is_primary(c)
-    if primary == is_primary(-c):
+    primary = k in (0, 2)
+    if primary == (_class_2_1pi(-g1, -g2, -C, -D) in (0, 2)):
+        b = OrderElement.from_half(*h)
         raise ArithmeticError(f"primary associate of {b} ({side}) is not unique up to sign")
-    return (u, c) if primary else (-u, -c)
+    if primary:
+        return u, c
+    return (-u[0], -u[1], -u[2], -u[3]), (-A, -B, -C, -D)
 
 
 def residue_mod_2_1pi(e: OrderElement) -> OrderElement | None:
@@ -150,5 +175,5 @@ def residue_mod_2_1pi(e: OrderElement) -> OrderElement | None:
     classes; anything else returns None.  So the ideal contains e exactly
     when residue_mod_2_1pi(e + 1) == 1.
     """
-    k = _class_2_1pi(e)
+    k = _class_2_1pi(e.g1, e.g2, e.g3, e.g4)
     return None if k is None else CANONICAL_RESIDUES_2_1PI[k]

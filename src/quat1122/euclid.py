@@ -12,11 +12,13 @@ One step kernel does this on half-coordinate integer 4-tuples: it forms the
 numerator, decodes the quotient, multiplies back and checks the remainder,
 with every product through ``core.half_product`` and its exact halving,
 its operands written in side order.  ``div_rem`` is one step between
-elements.  One Euclidean loop, shared by ``gcd`` and ``gcd_cofactor``, runs
-on tuples and carries no Bezout coefficient: it returns its quotients, and
-``gcd`` alone folds the coefficient of a over them (one product per step).
-Every other one-sided product, on tuples or elements, goes through
-``dyadic._sided``.
+elements.  One Euclidean loop, shared by ``gcd`` and ``gcd_cofactor``, takes
+and returns tuples and carries no Bezout coefficient: it returns its
+quotients, and ``gcd`` alone folds the coefficient of a over them (one
+product per step).  It normalizes the last remainder on tuples too:
+``dyadic._primary_half`` for an odd gcd, the 24-unit scan for an even one.
+``gcd_cofactor``'s product is written in side order as well; every other
+one-sided product goes through ``dyadic._sided``.
 
 ``gcd`` returns a ``GcdResult``: the GCD d, its Bezout pair (x, y) and the
 side.  For the right GCD of (a, b), d divides a and b on the right and
@@ -24,15 +26,18 @@ side.  For the right GCD of (a, b), d divides a and b on the right and
     d = x*a + y*b;
 
 for the left GCD, d divides both on the left and d = a*x + b*y.
-``gcd_cofactor`` returns the same d with the cofactor a' of a instead
-(a = a'*d on the right, a = d*a' on the left); factoring peels each prime
-with it.  y and a' each come from one exact division, ``core.exact_quotient``.
+``gcd_cofactor`` takes and returns half coordinates: the same d with the
+cofactor a' of a instead (a = a'*d on the right, a = d*a' on the left);
+factoring peels each prime with it.  y and a' each come from one exact
+division by the rule of ``core.exact_coords``.
 """
 
 from __future__ import annotations
 
-from .core import ZERO, OrderElement, Record, exact_quotient, half_product, units
-from .dyadic import _sided, primary_associate
+from .core import (
+    ZERO, OrderElement, Record, exact_coords, exact_quotient, half_norm, half_product, units,
+)
+from .dyadic import _primary_half, _sided
 
 TYPE_CHECKING = False  # typing's own flag without importing typing (3-4 ms)
 if TYPE_CHECKING:
@@ -119,30 +124,33 @@ def div_rem(a: OrderElement, b: OrderElement, side: Side = "right") -> DivisionR
     return DivisionResult(OrderElement.from_half(*q), OrderElement.from_half(*r), side)
 
 
-def _associate(d: OrderElement, side: Side) -> tuple[OrderElement, OrderElement]:
-    # The unit w and the canonical associate of d that keep the divisor side:
-    # w*d for a right gcd, d*w for a left gcd.  Odd gcds get their unique
-    # primary associate; even ones the lexicographically smallest coordinates.
-    if d.norm() % 2 == 1:
-        return primary_associate(d, "left" if side == "right" else "right")
-    mul = _sided(side)
-    w = min(units(), key=lambda u: mul(u, d).coords)
-    return w, mul(w, d)
+def _associate(r, side: Side):
+    # The unit w and the canonical associate of the last remainder r that keep
+    # the divisor side, all as half coordinates: w*r for a right gcd, r*w for
+    # a left gcd.  Odd gcds get their unique primary associate; even ones the
+    # lexicographically smallest basis coordinates, over the 24 units.
+    if half_norm(r) & 1:
+        return _primary_half(r, "left" if side == "right" else "right")
+    hmul = _sided(side, half_product)
+    w = min((u.half_coords for u in units()),
+            key=lambda u: OrderElement.from_half(*hmul(u, r)).coords)
+    return w, hmul(w, r)
 
 
-def _euclid(a: OrderElement, b: OrderElement, side: Side):
-    # The one Euclidean loop, on tuples: the canonical d, the unit w with
-    # d = w*r (r*w on the left) for the last remainder r, and the quotients
-    # of its steps, from which gcd alone folds the Bezout coefficient x.
+def _euclid(a, b, side: Side):
+    # The one Euclidean loop, on the half coordinates a, b: the canonical d,
+    # the unit w with d = w*r (r*w on the left) for the last remainder r, and
+    # the quotients of its steps, from which gcd alone folds the Bezout
+    # coefficient x; every one a tuple.
     _sided(side)  # refuse a bad side before the first step
-    if a.is_zero and b.is_zero:
+    if not any(a) and not any(b):
         raise ValueError("gcd(0, 0) is undefined")
-    r0, r1, qs = a.half_coords, b.half_coords, []
-    while any(r1):
-        q, r = _step(r0, r1, side)
-        r0, r1 = r1, r
+    qs = []
+    while any(b):
+        q, r = _step(a, b, side)
+        a, b = b, r
         qs.append(q)
-    w, d = _associate(OrderElement.from_half(*r0), side)
+    w, d = _associate(a, side)
     return d, w, qs
 
 
@@ -159,27 +167,32 @@ def gcd(a: OrderElement, b: OrderElement, side: Side = "right") -> GcdResult:
         ValueError: both arguments are zero.
         ArithmeticError: that division is not exact (impossible; a runtime check).
     """
-    d, w, qs = _euclid(a, b, side)
+    d, w, qs = _euclid(a.half_coords, b.half_coords, side)
     # r_i = x_i*a + y_i*b (a*x_i + b*y_i on the left), one product per step.
     hmul = _sided(side, half_product)
     x0, x1 = _ONE, _ZERO
     for q in qs:
         x0, x1 = x1, _sub(x0, hmul(q, x1))
+    d, x = OrderElement.from_half(*d), OrderElement.from_half(*hmul(w, x0))
     mul = _sided(side)
-    x = mul(w, OrderElement.from_half(*x0))
     y = ZERO if b.is_zero else exact_quotient(mul(d - mul(x, a), b.conjugate()), b.norm())
     return GcdResult(d, (x, y), side)
 
 
-def gcd_cofactor(a: OrderElement, b: OrderElement, side: Side) -> tuple[OrderElement, OrderElement]:
+def gcd_cofactor(a, b, side: Side):
     """The GCD that ``gcd`` returns, with a's cofactor in place of the Bezout pair.
 
-    Returns (d, a') with a = a'*d ("right") or a = d*a' ("left"), where
-    a' = a*conj(d)/norm(d) (conj(d)*a/norm(d) on the left).
+    Takes and returns half coordinates: (d, a') with a = a'*d ("right") or
+    a = d*a' ("left"), where a' = a*conj(d)/norm(d) (conj(d)*a/norm(d) on
+    the left), divided by the one exact-division rule, ``core.exact_coords``.
 
     Raises:
         ValueError: both arguments are zero.
         ArithmeticError: d does not divide a (impossible; a runtime check).
     """
     d = _euclid(a, b, side)[0]
-    return d, exact_quotient(_sided(side)(a, d.conjugate()), d.norm())
+    A, B, C, D = d
+    dc = (A, -B, -C, -D)
+    A, B, C, D = half_product(a, dc) if side == "right" else half_product(dc, a)
+    g1, g2, g3, g4 = exact_coords((A - C - D) >> 1, (B - C - D) >> 1, C, D, half_norm(d))
+    return d, (2 * g1 + g3 + g4, 2 * g2 + g3 + g4, g3, g4)

@@ -13,7 +13,10 @@ one-sided GCD with p, which the Euclidean layer normalizes to its primary
 associate.  One step, ``_peel``, does this on either side with
 ``euclid.gcd_cofactor``, which also returns the cofactor that
 factor_primitive carries on to the next prime; it and the content come off
-by one exact division, ``core.exact_quotient``.  The last prime takes no
+by the one exact-division rule, ``core.exact_coords``.  The peel and the
+cofactor it carries are half-coordinate tuples, from the first Euclid step
+to the next prime; an element is built only for each ``PrimaryPrime``, for
+the last cofactor and for an error message.  The last prime takes no
 gcd: a primary element of norm p is its own gcd with p, so the cofactor
 left after the other primes is the last prime itself.
 """
@@ -23,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd as int_gcd
 
-from .core import ONE_PLUS_I, OrderElement, Record, exact_quotient
-from .dyadic import _sided, is_primary, primary_associate, valuation_1pi
+from .core import ONE_PLUS_I, OrderElement, Record, exact_quotient, half_norm, half_product
+from .dyadic import is_primary, primary_associate, valuation_1pi
 from .euclid import gcd_cofactor
 # Unused here: bench/selftest.py checks that its tracer patches euclid.gcd under this name.
 from .euclid import gcd as quat_gcd  # noqa: F401
@@ -114,18 +117,22 @@ def primary_prime_from(f: OrderElement, p: int) -> PrimaryPrime:
         raise ValueError(f"{f} is not primitive to {p}")
     if f.norm() % p:
         raise ValueError(f"norm {f.norm()} of {f} is not divisible by {p}")
-    return _peel(f, p, "right")[0]
+    return _peel(f.half_coords, p, "right")[0]
 
 
-def _peel(f: OrderElement, p: int, side: str) -> tuple[PrimaryPrime, OrderElement]:
-    # The one prime step: the primary gcd d of f with p on the given side, of
-    # norm p, and the cofactor c with f = c*d ("right") or f = d*c ("left").
-    d, c = gcd_cofactor(f, OrderElement(p, 0, 0, 0), side)
-    if d.norm() != p:
-        raise ArithmeticError(f"{side} gcd of {f} and {p} has norm {d.norm()}, expected {p}")
-    if _sided(side)(c, d) != f:
+def _peel(f, p: int, side: str) -> tuple[PrimaryPrime, tuple[int, int, int, int]]:
+    # The one prime step, on the half coordinates f: the primary gcd d of f
+    # with p on the given side, of norm p, and the cofactor c with f = c*d
+    # ("right") or f = d*c ("left"), returned as half coordinates.
+    d, c = gcd_cofactor(f, (2 * p, 0, 0, 0), side)
+    n = half_norm(d)
+    if n != p:
+        f = OrderElement.from_half(*f)
+        raise ArithmeticError(f"{side} gcd of {f} and {p} has norm {n}, expected {p}")
+    if (half_product(c, d) if side == "right" else half_product(d, c)) != f:
+        d, c, f = (OrderElement.from_half(*h) for h in (d, c, f))
         raise ArithmeticError(f"{d} times the cofactor {c} ({side}) is not {f}")
-    return PrimaryPrime(d, p), c
+    return PrimaryPrime(OrderElement.from_half(*d), p), c
 
 
 def _prime_order(n: int) -> list[int]:
@@ -190,10 +197,11 @@ def factor_primitive(c: OrderElement, prime_order: list[int]) -> list[PrimaryPri
             f"prime order {prime_order} does not factor norm {c.norm()}"
         )
     out: list[PrimaryPrime] = []
-    cofactor = c
+    cofactor = c.half_coords
     for p in prime_order[:-1]:
         pi, cofactor = _peel(cofactor, p, "left")
         out.append(pi)
+    cofactor = OrderElement.from_half(*cofactor)
     # A primary element of norm p is its own left gcd with p: the last prime
     # needs no peel.  With no primes the cofactor is c, primary of norm 1: 1.
     last = prime_order[-1] if prime_order else 1

@@ -12,7 +12,10 @@ product.  The first block is divided through prime by prime; a later block
 is scanned only when one ``math.gcd`` of n with its product exceeds 1, so a
 block that holds no factor of n costs one gcd instead of 64 remainders
 (the "smooth part" filter of Bernstein, *How to find smooth parts of
-integers*, 2004).
+integers*, 2004).  Here n is what is left to divide: ``factorize`` walks
+the blocks only up to the first that starts past the square root of the
+cofactor left so far, not of the n it was called with.  One walk,
+``_table_blocks``, serves both functions.
 """
 
 from __future__ import annotations
@@ -54,16 +57,19 @@ def _blocks() -> tuple[tuple[tuple[int, ...], int], ...]:
                  for block in (table[i:i + _BLOCK] for i in range(0, len(table), _BLOCK)))
 
 
-def _table_blocks(n: int):
-    # The blocks of the table that trial division of n must scan, increasing:
+def _table_blocks(rest: list[int]):
+    # The blocks of the table that trial division must scan, increasing.
+    # rest[0] is the number still to be divided, which the caller updates as
+    # it divides and the walk reads again before each block after the first:
     # the first block always, then every later block whose product shares a
-    # factor with n, up to the first block that starts past sqrt(n).  A
-    # skipped block holds no factor of n (nor of any divisor of it), so a
-    # caller that stops at its first p with p^2 > n stops where a walk over
-    # the whole table would.
+    # factor with it, up to the first block that starts past its square
+    # root.  A skipped block holds no factor of it (nor of any divisor of
+    # it), so a caller that stops at its first p with p^2 > rest[0] stops
+    # where a walk over the whole table would.
     blocks = _blocks()
     yield blocks[0][0]
     for block, product in blocks[1:]:
+        n = rest[0]
         if block[0] * block[0] > n:
             return
         if gcd(n, product) > 1:
@@ -81,7 +87,7 @@ def is_prime(n: int) -> bool:
         raise ValueError(f"n = {n} exceeds the primality bound {FACTOR_BOUND}")
     if n < 2:
         return False
-    for block in _table_blocks(n):
+    for block in _table_blocks([n]):
         for p in block:
             if p * p > n:
                 return True
@@ -106,13 +112,15 @@ def factorize(n: int) -> dict[int, int]:
     if n > FACTOR_BOUND:
         raise ValueError(f"n = {n} exceeds the factoring bound {FACTOR_BOUND}")
     out: dict[int, int] = {}
-    for block in _table_blocks(n):
+    rest = [n]
+    for block in _table_blocks(rest):
         for p in block:
             if p * p > n:
                 break
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
+                rest[0] = n
         else:
             continue
         break  # p^2 > n: no later block can hold a factor of n

@@ -29,7 +29,7 @@ from .intarith import FACTOR_BOUND, sigma
 
 COUNT_BOUND = FACTOR_BOUND  # sigma(m) trial-divides: about 2 s for the worst m
 ORACLE_BOUND = 10**6
-TABLE_BOUND = 2 * 10**5  # the four verify tables at the bound take about 2.3 s
+TABLE_BOUND = 2 * 10**5  # verify's three tables at the bound take about 2.2 s
 ENUMERATION_BOUND = 2 * 10**4  # the whole shell at the bound takes about 2 s, primes -p 0.5 s
 
 

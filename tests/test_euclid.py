@@ -23,6 +23,11 @@ def rand_nonzero(rng, lo=-40, hi=40):
             return e
 
 
+def as_elements(halves):
+    """Elements from the half-coordinate tuples that the loop's internals return."""
+    return tuple(OrderElement.from_half(*h) for h in halves)
+
+
 def divides(d, a, side):
     """Exact divisibility on the given side, checked via conjugate division."""
     n = d.norm()
@@ -98,7 +103,7 @@ def check_gcd(a, b, side):
     # The reference loop's raw (d, x, y), moved to d's canonical associate.
     res = gcd(a, b, side)
     d, x, y = euclid_reference.gcd_loop(a, b, side)
-    w, d = _associate(d, side)
+    w, d = as_elements(_associate(d.half_coords, side))
     expected = (d, w * x, w * y) if side == "right" else (d, x * w, y * w)
     assert (res.gcd, *res.cofactors) == expected, (a, b, side)
 
@@ -213,11 +218,11 @@ def test_gcd_cofactor_is_gcd_and_rebuilds_a():
               (OrderElement(3, 1, 0, 2), ZERO), (ZERO, ONE)]
     for a, b in pairs:
         for side in ("left", "right"):
-            d, cofactor = gcd_cofactor(a, b, side)
+            d, cofactor = as_elements(gcd_cofactor(a.half_coords, b.half_coords, side))
             assert d == gcd(a, b, side).gcd, (a, b, side)
             assert (cofactor * d if side == "right" else d * cofactor) == a, (a, b, side)
     with pytest.raises(ValueError):
-        gcd_cofactor(ZERO, ZERO, "left")
+        gcd_cofactor(ZERO.half_coords, ZERO.half_coords, "left")
 
 
 def test_gcd_zero_cases():

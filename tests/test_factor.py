@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import quat1122.dyadic
 import quat1122.factor
 from factor_reference import reference_peel, reference_primary_prime
 from quat1122 import (
@@ -254,7 +255,7 @@ def test_factor_primitive_rejects_bad_input():
 def test_gcd_of_wrong_norm_is_an_invariant_violation(monkeypatch, capsys):
     # A gcd whose norm is not p cannot happen; faking one reaches exit 3.
     # factor_primitive peels every prime but the last, so it takes two primes.
-    monkeypatch.setattr(quat1122.factor, "gcd_cofactor", lambda a, b, side: (ONE, a))
+    monkeypatch.setattr(quat1122.factor, "gcd_cofactor", lambda a, b, side: (ONE.half_coords, a))
     pi = primary_primes_of_norm(3)[0]
     with pytest.raises(ArithmeticError, match="right gcd of .* has norm 1, expected 3"):
         primary_prime_from(pi.element, 3)
@@ -271,7 +272,7 @@ def test_cofactor_that_does_not_rebuild_is_an_invariant_violation(monkeypatch, c
     # The true gcd with a wrong cofactor: d*c != f is caught, on both sides.
     def negated_cofactor(a, b, side):
         d, c = gcd_cofactor(a, b, side)
-        return d, -c
+        return d, (-OrderElement.from_half(*c)).half_coords
 
     monkeypatch.setattr(quat1122.factor, "gcd_cofactor", negated_cofactor)
     pi = primary_primes_of_norm(3)[0]
@@ -298,7 +299,7 @@ def test_last_cofactor_that_is_not_the_last_prime_is_an_invariant_violation(
 
     def faulty_peel(f, p, side):
         pi, c = peel(f, p, side)
-        return pi, fault(c)
+        return pi, fault(OrderElement.from_half(*c)).half_coords
 
     monkeypatch.setattr(quat1122.factor, "_peel", faulty_peel)
     c = primary_primes_of_norm(3)[0].element * primary_primes_of_norm(5)[0].element
@@ -340,18 +341,59 @@ def test_cofactor_division_that_is_not_exact_is_an_invariant_violation(monkeypat
 
     def tripled(d, side):
         w, c = associate(d, side)
-        return w, 3 * c
+        return w, (3 * OrderElement.from_half(*c)).half_coords
 
     monkeypatch.setattr(quat1122.euclid, "_associate", tripled)
     pi = primary_primes_of_norm(13)[0]
     for side in ("left", "right"):
         with pytest.raises(ArithmeticError, match="is not divisible by 117"):
-            gcd_cofactor(pi.element, OrderElement(13, 0, 0, 0), side)
+            gcd_cofactor(pi.element.half_coords, OrderElement(13, 0, 0, 0).half_coords, side)
     assert main(["factor", "[6,3,1,-2]"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal invariant violation: ")
     assert "is not divisible by" in captured.err
+
+
+def wrong_units_mod_2(monkeypatch):
+    # Every unit of the mod-2 table times i: b times it is then never 1 mod 2.
+    table = quat1122.dyadic._MOD2_HALF
+    monkeypatch.setattr(quat1122.dyadic, "_MOD2_HALF", {
+        key: (I * OrderElement.from_half(*u)).half_coords for key, u in table.items()})
+
+
+def sign_blind_classifier(monkeypatch):
+    # Every element that is 1 mod 2 reads as primary, so c and -c both do.
+    classify = quat1122.dyadic._class_2_1pi
+    monkeypatch.setattr(quat1122.dyadic, "_class_2_1pi",
+                        lambda *g: None if classify(*g) is None else 0)
+
+
+KERNEL_FAULTS = {
+    "not-1-mod-2": (wrong_units_mod_2, "is not 1 mod 2"),
+    "not-unique": (sign_blind_classifier, "is not unique up to sign"),
+}
+
+
+@pytest.mark.parametrize("fault, message", KERNEL_FAULTS.values(), ids=KERNEL_FAULTS.keys())
+def test_primary_associate_kernel_checks_are_invariant_violations(
+        monkeypatch, capsys, fault, message):
+    # One kernel takes every primary associate: primary_associate's, and the
+    # gcd's in each peel.  Its two checks raise ArithmeticError and exit 3.
+    c = primary_primes_of_norm(3)[0].element * primary_primes_of_norm(5)[0].element
+    fault(monkeypatch)
+    for side in ("left", "right"):
+        with pytest.raises(ArithmeticError, match=rf"\({side}\) {message}"):
+            primary_associate(I, side)
+    with pytest.raises(ArithmeticError, match=message):
+        primary_prime_from(c, 3)
+    with pytest.raises(ArithmeticError, match=message):
+        factor_primitive(c, [3, 5])
+    assert main(["factor", "[6,3,1,-2]"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal invariant violation: ")
+    assert message in captured.err
 
 
 def seeded_primitives(rng, count, bound):
@@ -375,7 +417,8 @@ def test_peel_matches_gcd_and_div_rem(side):
     elements += [pi.element for pi in primary_primes_of_norm(13)]
     for f in elements:
         for p in sorted(factorize(f.norm())):
-            d, c = gcd_cofactor(f, OrderElement(p, 0, 0, 0), side)
+            halves = gcd_cofactor(f.half_coords, OrderElement(p, 0, 0, 0).half_coords, side)
+            d, c = (OrderElement.from_half(*h) for h in halves)
             assert d == quat_gcd(f, OrderElement(p, 0, 0, 0), side).gcd
             assert (c * d if side == "right" else d * c) == f
             assert (d, c) == reference_peel(f, p, side), (f, p)

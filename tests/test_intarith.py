@@ -7,6 +7,7 @@ table to the loops past it and at the edges of the table's gcd-filtered
 blocks.
 """
 
+import math
 import random
 from itertools import combinations
 from math import prod
@@ -14,6 +15,7 @@ from math import prod
 import pytest
 
 import intarith_reference as ref
+import quat1122.intarith
 from quat1122.intarith import (
     _BLOCK,
     _SIEVE_BOUND,
@@ -83,6 +85,14 @@ def test_agrees_with_reference_at_block_edges():
     assert_agrees(p * q for p, q in combinations(BLOCK_EDGES, 2))
     # an edge prime next to a prime past the table: the blocks, then the loops
     assert_agrees(p * q for p in BLOCK_EDGES for q in (ABOVE_2_14, ABOVE_2_28))
+    # The walk stops at the first block past the square root of what is left
+    # to divide: a first-block prime times the first prime of each later
+    # block, the square of an edge prime times a prime past the table, and
+    # cofactors at 2^28 +- small after the first block or a prime past it.
+    starts = [block[0] for block, _ in _blocks()[1:]] + [ABOVE_2_14]
+    assert_agrees(p * q for p in (2, 3, 311) for q in starts)
+    assert_agrees(p * p * q for p in BLOCK_EDGES for q in (ABOVE_2_14, NEXT_ABOVE_2_14))
+    assert_agrees(p * (2**28 + k) for p in (2, 3, 311, 313, 16381) for k in range(-6, 7))
 
 
 def test_agrees_with_reference_on_products_within_and_across_blocks():
@@ -91,6 +101,23 @@ def test_agrees_with_reference_on_products_within_and_across_blocks():
     same = [rng.choice(block) * rng.choice(block) for block in blocks for _ in range(8)]
     across = [rng.choice(a) * rng.choice(b) for a, b in combinations(blocks, 2)]
     assert_agrees(same + across)
+    # a mid-table block's prime times the first prime of a later block, alone
+    # and past 2^20: the cofactor drops below the later block's square there
+    assert_agrees(rng.choice(a) * b[0] * m for a, b in combinations(blocks[1:], 2)
+                  for m in (1, 2**20))
+
+
+def test_walk_stops_at_the_square_root_of_what_is_left(monkeypatch):
+    # Each gcd tests one block past the first.  Once 2^20 comes off in the
+    # first block, 16411 needs no later block; once 4759 comes off in block
+    # 10, 5851 needs none past it, where a walk to sqrt(n) would test all 29.
+    tested = []
+    monkeypatch.setattr(quat1122.intarith, "gcd", lambda n, m: tested.append(n) or math.gcd(n, m))
+    assert factorize(2**20 * ABOVE_2_14) == {2: 20, ABOVE_2_14: 1}
+    assert tested == []
+    assert factorize(2**20 * 4759 * 5851) == {2: 20, 4759: 1, 5851: 1}
+    assert tested == [4759 * 5851] * 10
+    assert _blocks()[10][0][0] == 4759 and _blocks()[11][0][0] ** 2 > 5851
 
 
 def test_agrees_with_reference_on_squarefree_runs_of_a_block():
