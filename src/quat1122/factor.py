@@ -24,9 +24,10 @@ left after the other primes is the last prime itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd as int_gcd
 
-from .core import ONE_PLUS_I, OrderElement, Record, exact_quotient, half_norm, half_product
+from .core import ONE_PLUS_I, OrderElement, Record, exact_quotient, half_norm, half_product, units
 from .dyadic import is_primary, primary_associate, valuation_1pi
 from .euclid import gcd_cofactor
 # Unused here: bench/selftest.py checks that its tracer patches euclid.gcd under this name.
@@ -213,6 +214,13 @@ def factor_primitive(c: OrderElement, prime_order: list[int]) -> list[PrimaryPri
     return out
 
 
+@cache
+def _unit_of_conjugate() -> dict[OrderElement, OrderElement]:
+    # conj(u) -> u over the 24 units: a Factorization holds one of units()'s
+    # objects, not a fresh conjugate per call.
+    return {u.conjugate(): u for u in units()}
+
+
 def full_factor(x: OrderElement) -> Factorization:
     """Canonical factorization of any nonzero element; reassembles exactly.
 
@@ -224,7 +232,7 @@ def full_factor(x: OrderElement) -> Factorization:
         raise ValueError("cannot factor the zero element")
     r, b = valuation_1pi(x)
     w, c = primary_associate(b, "left")
-    unit = w.conjugate()
+    unit = _unit_of_conjugate()[w]
     content = int_gcd(*c.coords)
     # content is odd and 4 lies in 2(1+i)O, so c = content*d = +/-d there.
     sign = 1 if content % 4 == 1 else -1

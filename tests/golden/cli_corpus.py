@@ -124,7 +124,7 @@ def argvs(rng: random.Random) -> list[list[str]]:
               ["count", str(10**30)],
               ["count", str(ORACLE_BOUND + 1), "--oracle"],
               ["count", "8", "--restriction", "i"]]
-    # n at the hand-off from the table of primes below 2^14 to plain trial
+    # n at the hand-off from a table of primes below 2^14 to plain trial
     # division: 16411 and 16417 are the first primes past 2^14, 268435399 and
     # 268435459 the primes on either side of 2^28
     calls += [["count", str(16411 * 16417)], ["count", str(16411**2)],
@@ -138,6 +138,14 @@ def argvs(rng: random.Random) -> list[list[str]]:
               ["count", str(15923 * 16381)], ["count", str(3 * 15923**2)],
               ["count", str(2131 * 2137 * 2141 * 2143)],
               ["count", str(4 * 311 * 313), "--restriction", "i"]]
+    # the same at the table's bound 2^15: 32771 and 32779 are the first primes
+    # past it, 1073741789 and 1073741827 the primes on either side of 2^30,
+    # and 32233..32749 is the table's last block
+    calls += [["count", str(32771 * 32779)], ["count", str(32771**2)],
+              ["count", str(32749**3)], ["count", "1073741789"], ["count", "1073741827"],
+              ["count", str(32749 * 1073741827)],
+              ["count", str(4 * 32771 * 32779), "--restriction", "i"],
+              ["count", str(32233 * 32749)]]
 
     # factor: small coordinates, contents and powers of 2 up to 1e30, half forms
     for _ in range(30):
@@ -166,6 +174,14 @@ def argvs(rng: random.Random) -> list[list[str]]:
     calls += [["factor", "[307,32,6,0]"], ["factor", "[691,186,8,4]"],
               ["factor", "[25868,9553,2,4]"], ["factor", "[6287,286,2,2]"],
               ["factor", "[14318,7469,2,0]"]]
+    # primitive norms 32771*32779, 32771^2, 3*1073741827, 32749*1073741827,
+    # 5*7*1073741827 and 32233*32749: prime factors just past 2^15 and just
+    # past 2^30, and the ends of the last block; the seventh element is twice
+    # the first
+    calls += [["factor", "[31563,6716,-59,898]"], ["factor", "[27117,15806,-138,2109]"],
+              ["factor", "[32765,0,0,32771]"], ["factor", "[5144419,2949210,-180,314]"],
+              ["factor", "[-53100,86138,5707,146446]"], ["factor", "[25627,19828,-48,173]"],
+              ["factor", "[63126,13432,-118,1796]"]]
 
     # gcd: both sides, coordinates up to 1e30
     for _ in range(30):

@@ -467,6 +467,7 @@ def test_full_factor_recovers_built_product():
         f = full_factor(x)
         assert f.r == 2
         assert f.unit == u
+        assert any(f.unit is v for v in units())  # shared, not a fresh copy
         assert f.sign == 1 and f.content == 1
         assert f.primes == (pi,)
         assert f.reassemble() == x
