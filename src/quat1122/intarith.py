@@ -2,20 +2,18 @@
 
 ``is_prime`` and ``factorize`` trial-divide in two phases.  They first
 divide by a table of the primes below ``2^15``, sieved on first use and kept
-for the process (3,512 primes, about 140 KB), and stop as soon as p^2 > n,
-so every n below ``2^30`` is settled from the table alone.  Past the table,
-``is_prime`` tries every odd d and ``factorize`` every d = 6k +- 1 up to the
-square root, from the first such d past the table.
+for the process (3,512 primes, about 140 KB), so every n below ``2^30`` is
+settled from the table alone.  Past the table, ``is_prime`` tries every odd
+d and ``factorize`` every d = 6k +- 1 up to the square root, from the first
+such d past the table.
 
 The table is cut into blocks of ``_BLOCK`` primes, each kept with its
-product.  The first block is divided through prime by prime; a later block
-is scanned only when one ``math.gcd`` of n with its product exceeds 1, so a
-block that holds no factor of n costs one gcd instead of 64 remainders
-(the "smooth part" filter of Bernstein, *How to find smooth parts of
-integers*, 2004).  Here n is what is left to divide: ``factorize`` walks
-the blocks only up to the first that starts past the square root of the
-cofactor left so far, not of the n it was called with.  One walk,
-``_table_blocks``, serves both functions.
+product, and both functions apply one rule to every block: stop at the first
+block that starts past the square root of what is left of n, and skip a
+block whose ``math.gcd`` with n is 1.  So a block that holds no factor of n
+costs one gcd instead of 64 remainders (the "smooth part" filter of
+Bernstein, *How to find smooth parts of integers*, 2004), and a block whose
+gcd exceeds 1 is tried only at the primes that divide that gcd.
 """
 
 from __future__ import annotations
@@ -62,42 +60,23 @@ def _blocks() -> tuple[tuple[tuple[int, ...], int], ...]:
                  for block in (table[i:i + _BLOCK] for i in range(0, len(table), _BLOCK)))
 
 
-def _table_blocks(rest: list[int]):
-    # The blocks of the table that trial division must scan, increasing.
-    # rest[0] is the number still to be divided, which the caller updates as
-    # it divides and the walk reads again before each block after the first:
-    # the first block always, then every later block whose product shares a
-    # factor with it, up to the first block that starts past its square
-    # root.  A skipped block holds no factor of it (nor of any divisor of
-    # it), so a caller that stops at its first p with p^2 > rest[0] stops
-    # where a walk over the whole table would.
-    blocks = _blocks()
-    yield blocks[0][0]
-    for block, product in blocks[1:]:
-        n = rest[0]
-        if block[0] * block[0] > n:
-            return
-        if gcd(n, product) > 1:
-            yield block
-
-
 def is_prime(n: int) -> bool:
     """Primality of n <= FACTOR_BOUND by trial division.
 
-    The table's primes come first, blocks that share no factor with n
-    skipped; odd d from 2^15 + 1 follow only for n > 2^30 with no prime
-    factor in the table.
+    One gcd per block of the table decides n: a block that shares a factor
+    with n holds a prime factor of n, so n is prime just when it is one of
+    that block's primes.  Odd d from 2^15 + 1 follow only for n > 2^30 with
+    no prime factor in the table.
     """
     if n > FACTOR_BOUND:
         raise ValueError(f"n = {n} exceeds the primality bound {FACTOR_BOUND}")
     if n < 2:
         return False
-    for block in _table_blocks([n]):
-        for p in block:
-            if p * p > n:
-                return True
-            if n % p == 0:
-                return False
+    for block, product in _blocks():
+        if block[0] * block[0] > n:
+            return True
+        if gcd(n, product) > 1:
+            return n in block
     for d in range(_SIEVE_BOUND + 1, isqrt(n) + 1, 2):
         if n % d == 0:
             return False
@@ -107,28 +86,30 @@ def is_prime(n: int) -> bool:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} of 1 <= n <= FACTOR_BOUND by trial division.
 
-    The table's primes come first, blocks that share no factor with n
-    skipped; the 6k +- 1 loop from 32771 = 6*5462 - 1 follows only for a
-    cofactor of at least 32771^2 with no prime factor in the table.  The keys
-    come in increasing order.
+    The table's primes come first, each block tried only at the primes that
+    divide its gcd with the cofactor left so far; the 6k +- 1 loop from
+    32771 = 6*5462 - 1 follows only for a cofactor of at least 32771^2 with no
+    prime factor in the table.  The keys come in increasing order.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     if n > FACTOR_BOUND:
         raise ValueError(f"n = {n} exceeds the factoring bound {FACTOR_BOUND}")
     out: dict[int, int] = {}
-    rest = [n]
-    for block in _table_blocks(rest):
-        for p in block:
-            if p * p > n:
-                break
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-                rest[0] = n
-        else:
+    for block, product in _blocks():
+        if block[0] * block[0] > n:
+            break
+        g = gcd(n, product)
+        if g == 1:
             continue
-        break  # p^2 > n: no later block can hold a factor of n
+        for p in block:
+            if g % p == 0:
+                g //= p
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
+                if g == 1:
+                    break
     # The last 6k - 1 <= _SIEVE_BOUND + 3, so every 6k +- 1 the loop skips
     # lies below the bound: a table prime or a product of table primes.
     d = 6 * ((_SIEVE_BOUND + 4) // 6) - 1

@@ -96,7 +96,8 @@ def reduce_mod_m(e: OrderElement, m: int) -> ResidueElement:
     The standard coordinates are the half coordinates over 2, and 2 is a unit mod m.
     """
     _check_odd_modulus(m)  # before pow, which refuses an even m in its own words
-    return ResidueElement.make(m, *(x * pow(2, -1, m) for x in e.half_coords))
+    inv2 = pow(2, -1, m)
+    return ResidueElement.make(m, *(x * inv2 for x in e.half_coords))
 
 
 class RSParams(Record):

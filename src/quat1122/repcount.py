@@ -27,7 +27,7 @@ from .core import OrderElement, Record
 from .dyadic import is_primary
 from .intarith import FACTOR_BOUND, sigma
 
-COUNT_BOUND = FACTOR_BOUND  # sigma(m) trial-divides: about 2 s for the worst m
+COUNT_BOUND = FACTOR_BOUND  # sigma trial-divides: about 1 s on a prime near it (CPython 3.11)
 ORACLE_BOUND = 10**6
 TABLE_BOUND = 2 * 10**5  # verify's three tables at the bound take about 2.2 s
 ENUMERATION_BOUND = 2 * 10**4  # the whole shell at the bound takes about 2 s, primes -p 0.5 s

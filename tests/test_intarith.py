@@ -119,16 +119,32 @@ def test_agrees_with_reference_on_products_within_and_across_blocks():
 
 
 def test_walk_stops_at_the_square_root_of_what_is_left(monkeypatch):
-    # Each gcd tests one block past the first.  Once 2^20 comes off in the
-    # first block, 16411 needs no later block; once 4759 comes off in block
-    # 10, 5851 needs none past it, where a walk to sqrt(n) would test all 54.
+    # Each gcd tests one block, the first included.  Once 2^20 comes off in
+    # the first block, 16411 needs no later block; once 4759 comes off in
+    # block 10, 5851 needs none past it, where a walk to sqrt(n) would test
+    # all 55.
     tested = []
     monkeypatch.setattr(quat1122.intarith, "gcd", lambda n, m: tested.append(n) or math.gcd(n, m))
-    assert factorize(2**20 * ABOVE_2_14) == {2: 20, ABOVE_2_14: 1}
-    assert tested == []
-    assert factorize(2**20 * 4759 * 5851) == {2: 20, 4759: 1, 5851: 1}
-    assert tested == [4759 * 5851] * 10
+    n = 2**20 * ABOVE_2_14
+    assert factorize(n) == {2: 20, ABOVE_2_14: 1}
+    assert tested == [n]
+    tested.clear()
+    n = 2**20 * 4759 * 5851
+    assert factorize(n) == {2: 20, 4759: 1, 5851: 1}
+    assert tested == [n] + [4759 * 5851] * 10
     assert _blocks()[10][0][0] == 4759 and _blocks()[11][0][0] ** 2 > 5851
+
+
+def test_one_gcd_decides_is_prime(monkeypatch):
+    # A prime past the table takes one gcd per block, all 55; a factor in
+    # the first block ends the walk at once.  210 = 2*3*5*7 shares all of
+    # itself with the first block's product, yet it is not one of its primes.
+    tested = []
+    monkeypatch.setattr(quat1122.intarith, "gcd", lambda n, m: tested.append(n) or math.gcd(n, m))
+    for n, gcds, prime in [(ABOVE_2_30, 55, True), (3 * ABOVE_2_30, 1, False), (210, 1, False)]:
+        tested.clear()
+        assert is_prime(n) is prime
+        assert tested == [n] * gcds, n
 
 
 @pytest.fixture
