@@ -16,23 +16,24 @@ factor_primitive carries on to the next prime; it and the content come off
 by the one exact-division rule, ``core.exact_coords``.  The peel and the
 cofactor it carries are half-coordinate tuples, from the first Euclid step
 to the next prime; an element is built only for each ``PrimaryPrime``, for
-the last cofactor and for an error message.  The last prime takes no
-gcd: a primary element of norm p is its own gcd with p, so the cofactor
-left after the other primes is the last prime itself.
+the last cofactor and for an error message.  The last prime takes no gcd: a
+primary element of norm p is its own gcd with p, so the cofactor left after
+the other primes is the last prime itself.  full_factor factors the norm
+once; factor_primitive checks an order by its product and primality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import gcd as int_gcd
+from math import gcd as int_gcd, prod
 
 from .core import ONE_PLUS_I, OrderElement, Record, exact_quotient, half_norm, half_product, units
 from .dyadic import is_primary, primary_associate, valuation_1pi
 from .euclid import gcd_cofactor
 # Unused here: bench/selftest.py checks that its tracer patches euclid.gcd under this name.
 from .euclid import gcd as quat_gcd  # noqa: F401
-from .intarith import factorize, is_prime
+from .intarith import FACTOR_BOUND, factorize, is_prime
 from .modm import reduce_mod_m
 from .repcount import ENUMERATION_BOUND, enumerate_norm_solutions
 
@@ -136,11 +137,6 @@ def _peel(f, p: int, side: str) -> tuple[PrimaryPrime, tuple[int, int, int, int]
     return PrimaryPrime(OrderElement.from_half(*d), p), c
 
 
-def _prime_order(n: int) -> list[int]:
-    # The rational prime factors of n with multiplicity, increasing.
-    return sorted(p for p, e in factorize(n).items() for _ in range(e))
-
-
 def p_conjugate(pi: PrimaryPrime) -> PrimaryPrime:
     """The signed conjugate that stays primary; an involution.
 
@@ -186,17 +182,20 @@ def factor_primitive(c: OrderElement, prime_order: list[int]) -> list[PrimaryPri
     an empty order, to be 1).
 
     Raises:
-        ValueError: c not primitive, or prime_order inconsistent with norm(c).
+        ValueError: c not primitive, norm(c) above FACTOR_BOUND, or prime_order
+            not primes with product norm(c) (checked without factoring).
         ArithmeticError: a peeled GCD has the wrong norm or times its cofactor
             does not give the running cofactor back, or the last cofactor is
             not primary of the last prime's norm (fatal invariant violations).
     """
     if not is_primitive(c):
         raise ValueError(f"{c} is not primitive (primary with coprime coordinates)")
-    if sorted(prime_order) != _prime_order(c.norm()):
-        raise ValueError(
-            f"prime order {prime_order} does not factor norm {c.norm()}"
-        )
+    n = c.norm()
+    if n > FACTOR_BOUND:
+        raise ValueError(f"n = {n} exceeds the factoring bound {FACTOR_BOUND}")
+    # Entries with the right product lie within the norm, so is_prime takes them all.
+    if prod(prime_order) != n or not all(map(is_prime, prime_order)):
+        raise ValueError(f"prime order {prime_order} does not factor norm {n}")
     out: list[PrimaryPrime] = []
     cofactor = c.half_coords
     for p in prime_order[:-1]:
@@ -221,12 +220,18 @@ def _unit_of_conjugate() -> dict[OrderElement, OrderElement]:
     return {u.conjugate(): u for u in units()}
 
 
+# One object for each of the 44 primary primes of norms 3 to 13, filled as
+# they are met: two thirds of the factor bench's results hold one, and a
+# Factorization holds the shared object, not a fresh copy per call.
+_shared_primes: dict[OrderElement, PrimaryPrime] = {}
+
+
 def full_factor(x: OrderElement) -> Factorization:
     """Canonical factorization of any nonzero element; reassembles exactly.
 
     The dyadic part comes off first, then the unique unit/primary split of
-    the odd part, then the integer content with its sign, and finally the
-    primitive part is factored with primes in increasing norm order.
+    the odd part, then the integer content with its sign; the primitive
+    part's norm is factored once, and its primes peel off in increasing order.
     """
     if x.is_zero:
         raise ValueError("cannot factor the zero element")
@@ -239,5 +244,7 @@ def full_factor(x: OrderElement) -> Factorization:
     primitive_part = exact_quotient(c, sign * content)
     if not is_primary(primitive_part):
         raise ArithmeticError(f"{primitive_part} is not primary while factoring {x}")
-    primes = factor_primitive(primitive_part, _prime_order(primitive_part.norm()))
-    return Factorization(r=r, unit=unit, sign=sign, content=content, primes=tuple(primes))
+    order = [p for p, e in factorize(primitive_part.norm()).items() for _ in range(e)]
+    primes = tuple(_shared_primes.setdefault(pi.element, pi) if pi.p <= 13 else pi
+                   for pi in factor_primitive(primitive_part, order))
+    return Factorization(r=r, unit=unit, sign=sign, content=content, primes=primes)

@@ -1,6 +1,8 @@
 import random
+import re
 import time
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -252,6 +254,61 @@ def test_factor_primitive_rejects_bad_input():
         factor_primitive(pi.element, [5])  # wrong prime order
 
 
+@pytest.mark.parametrize("order", [
+    [15],         # composite: the right product, one entry
+    [1, 3, 5],    # an entry of 1
+    [-3, -5],     # negative entries
+    [3],          # wrong product
+    [],           # the empty product, 1
+], ids=["composite", "one", "negative", "wrong-product", "empty"])
+def test_factor_primitive_checks_the_order_by_product_and_primality(order):
+    # The order is checked without factoring norm(c): its product must be the
+    # norm and every entry prime, else the one ValueError names both.
+    c = primary_primes_of_norm(3)[0].element * primary_primes_of_norm(5)[0].element
+    assert is_primitive(c) and c.norm() == 15
+    message = f"prime order {order} does not factor norm 15"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        factor_primitive(c, order)
+
+
+def test_factor_primitive_refuses_a_norm_past_the_bound():
+    # A primitive product of small primes with norm past FACTOR_BOUND: its
+    # order passes the product and primality check, and the bound refuses it
+    # with factorize's message.
+    rng = random.Random(27)
+    c, order = ONE, []
+    while c.norm() <= FACTOR_BOUND:
+        p = rng.choice([3, 5, 7, 11, 13])
+        d = c * rng.choice(primary_primes_of_norm(p)).element
+        if is_primitive(d):
+            c, order = d, order + [p]
+    assert all(map(is_prime, order)) and prod(order) == c.norm()
+    message = f"n = {c.norm()} exceeds the factoring bound {FACTOR_BOUND}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        factor_primitive(c, order)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        factorize(c.norm())
+
+
+def test_full_factor_factors_each_norm_once(monkeypatch):
+    # full_factor hands its prime list to factor_primitive, which checks it
+    # without factoring again: one factorize call per element.
+    calls = []
+
+    def counted_factorize(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(quat1122.factor, "factorize", counted_factorize)
+    rng = random.Random(2027)
+    xs = [ONE, ONE_PLUS_I, OrderElement(3, 0, 0, 0), OrderElement(6, 3, 1, -2)]
+    xs += [OrderElement(*(rng.randint(-10**4, 10**4) for _ in range(4))) for _ in range(60)]
+    for x in xs:
+        f = full_factor(x)
+        assert f.reassemble() == x
+    assert len(calls) == len(xs)
+
+
 def test_gcd_of_wrong_norm_is_an_invariant_violation(monkeypatch, capsys):
     # A gcd whose norm is not p cannot happen; faking one reaches exit 3.
     # factor_primitive peels every prime but the last, so it takes two primes.
@@ -471,6 +528,17 @@ def test_full_factor_recovers_built_product():
         assert f.sign == 1 and f.content == 1
         assert f.primes == (pi,)
         assert f.reassemble() == x
+
+
+def test_full_factor_shares_the_primes_of_small_norm():
+    # The 44 primary primes of norms 3 to 13 are shared objects, as the unit
+    # is; a prime of larger norm is built afresh on each call.
+    sigma = primary_primes_of_norm(17)[0]
+    for p in (3, 5, 7, 11, 13):
+        for pi in primary_primes_of_norm(p):
+            f, g = full_factor(pi.element * sigma.element), full_factor(pi.element * sigma.element)
+            assert f.primes == g.primes == (pi, sigma)
+            assert f.primes[0] is g.primes[0] and f.primes[1] is not g.primes[1]
 
 
 def test_full_factor_random_reassembly():
